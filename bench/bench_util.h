@@ -5,6 +5,8 @@
 // the figures can be re-plotted with any tool.
 #pragma once
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -70,6 +72,42 @@ inline std::string pct(double fraction, int digits = 2) {
 inline void banner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
+
+// Micro-benchmark timing loop. `op()` runs one iteration and returns a
+// number. run() times batches of doubling size until one lasts at least
+// kMinBatch and prints that batch's cost per iteration. Every returned
+// value is added to a checksum that finish() prints, so the optimizer
+// cannot drop the measured work.
+class MicroBench {
+ public:
+  MicroBench() {
+    std::printf("%-34s %12s %14s\n", "case", "iterations", "ns/iteration");
+  }
+
+  template <typename Op>
+  void run(const std::string& name, Op&& op) {
+    for (uint64_t iters = 1;; iters *= 2) {
+      double sum = 0;
+      const auto start = std::chrono::steady_clock::now();
+      for (uint64_t i = 0; i < iters; ++i) sum += static_cast<double>(op());
+      const std::chrono::duration<double, std::nano> elapsed =
+          std::chrono::steady_clock::now() - start;
+      if (elapsed >= kMinBatch) {
+        checksum_ += sum;
+        std::printf("%-34s %12llu %14.1f\n", name.c_str(),
+                    static_cast<unsigned long long>(iters),
+                    elapsed.count() / static_cast<double>(iters));
+        return;
+      }
+    }
+  }
+
+  void finish() const { std::printf("checksum %.17g\n", checksum_); }
+
+ private:
+  static constexpr std::chrono::milliseconds kMinBatch{100};
+  double checksum_ = 0;
+};
 
 // Writes a set of aligned time series as one CSV (shared time column from
 // the first series; all series must be sampled on the same grid).

@@ -12,8 +12,8 @@
 
 #include "app/session.h"
 #include "bench_util.h"
-#include "rap/rap_sink.h"
-#include "rap/rap_source.h"
+#include "cc/cc_sink.h"
+#include "cc/rap_source.h"
 #include "sim/topology.h"
 #include "tcp/tcp_sink.h"
 #include "tcp/tcp_source.h"
@@ -40,7 +40,7 @@ MixResult run_mix(int rap_flows, int tcp_flows, bool qa_on_first,
   sim::Dumbbell d = sim::build_dumbbell(net, topo);
 
   Rng rng(5);
-  std::vector<rap::RapSink*> rap_sinks;
+  std::vector<cc::CcSink*> rap_sinks;
   std::vector<tcp::TcpSink*> tcp_sinks;
   std::unique_ptr<app::Session> session;
 
@@ -52,22 +52,22 @@ MixResult run_mix(int rap_flows, int tcp_flows, bool qa_on_first,
       cfg.rap.packet_size = 250;
       cfg.rap.initial_rate = Rate::bytes_per_sec(1'250);
       session = std::make_unique<app::Session>(net, d.left[0], d.right[0], cfg);
-      rap_sinks.push_back(&session->rap_sink());
+      rap_sinks.push_back(&session->sink());
       continue;
     }
-    rap::RapParams rp;
+    cc::CcParams rp;
     rp.packet_size = 250;
     rp.initial_rate = Rate::bytes_per_sec(1'250);
     rp.start_time = TimePoint::from_sec(rng.uniform(0.0, 1.0));
     const sim::FlowId flow = net.allocate_flow_id();
     net.adopt_agent(d.left[i], flow,
-                    std::make_unique<rap::RapSource>(&net.scheduler(),
-                                                     d.left[i],
-                                                     d.right[i]->id(), flow,
-                                                     rp));
+                    std::make_unique<cc::RapSource>(&net.scheduler(),
+                                                    d.left[i],
+                                                    d.right[i]->id(), flow,
+                                                    rp));
     rap_sinks.push_back(net.adopt_agent(
         d.right[i], flow,
-        std::make_unique<rap::RapSink>(&net.scheduler(), d.right[i])));
+        std::make_unique<cc::CcSink>(&net.scheduler(), d.right[i])));
   }
   for (int i = 0; i < tcp_flows; ++i) {
     const int pair = rap_flows + i;
@@ -114,7 +114,7 @@ MixResult run_mix(int rap_flows, int tcp_flows, bool qa_on_first,
 
 int main() {
   bench::banner("Extension: inter-protocol fairness (800 Kb/s, 40 ms RTT)");
-  bench::TablePrinter t({"mix", "rap_kBps", "tcp_kBps", "rap/tcp", "jain"},
+  bench::TablePrinter t({"mix", "rap_kBps", "tcp_kBps", "rap_to_tcp", "jain"},
                         14);
   t.print_header();
   struct Case {

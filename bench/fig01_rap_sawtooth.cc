@@ -10,8 +10,8 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "rap/rap_sink.h"
-#include "rap/rap_source.h"
+#include "cc/cc_sink.h"
+#include "cc/rap_source.h"
 #include "sim/network.h"
 #include "sim/topology.h"
 #include "sim/trace.h"
@@ -32,17 +32,17 @@ int main() {
   topo.bottleneck_queue_bytes = 2000;
   sim::Dumbbell d = sim::build_dumbbell(net, topo);
 
-  rap::RapParams params;
+  cc::CcParams params;
   params.packet_size = 500;
   params.initial_rate = Rate::kilobytes_per_sec(4);
   const sim::FlowId flow = net.allocate_flow_id();
   auto* src = net.adopt_agent(
       d.left[0], flow,
-      std::make_unique<rap::RapSource>(&net.scheduler(), d.left[0],
-                                       d.right[0]->id(), flow, params));
+      std::make_unique<cc::RapSource>(&net.scheduler(), d.left[0],
+                                      d.right[0]->id(), flow, params));
   auto* sink = net.adopt_agent(
       d.right[0], flow,
-      std::make_unique<rap::RapSink>(&net.scheduler(), d.right[0]));
+      std::make_unique<cc::CcSink>(&net.scheduler(), d.right[0]));
 
   // Sample the instantaneous rate every 100 ms over the fig-1 window.
   TimeSeries rate_series;
@@ -50,7 +50,8 @@ int main() {
   for (int i = 1; i <= static_cast<int>(duration * 10); ++i) {
     const TimePoint at = TimePoint::from_sec(i * 0.1);
     net.scheduler().schedule_at(
-        at, [&, at] { rate_series.add(at, src->rate().bps()); });
+        at, [&, at] { rate_series.add(at, src->rate().bps()); },
+        sim::EventCategory::kProbe);
   }
   net.run(TimePoint::from_sec(duration));
 

@@ -1,10 +1,15 @@
-// Micro-benchmarks (google-benchmark) for the hot paths: the closed-form
-// buffer math, the per-packet filling decision, the periodic drain plan,
-// the state-sequence construction, and the raw simulator event loop.
-// These quantify that the per-packet QA decision is cheap enough for a
-// server handling many thousands of packets per second per stream.
-#include <benchmark/benchmark.h>
+// Micro-benchmarks for the hot paths: the closed-form buffer math, the
+// per-packet filling decision, the periodic drain plan, the state-sequence
+// construction, and the raw simulator event loop. These quantify that the
+// per-packet QA decision is cheap enough for a server handling many
+// thousands of packets per second per stream. Each case prints its cost
+// per iteration; the final checksum folds in every iteration's result.
+//
+//   micro_qa
+#include <string>
+#include <vector>
 
+#include "bench_util.h"
 #include "core/buffer_math.h"
 #include "core/draining_policy.h"
 #include "core/filling_policy.h"
@@ -20,161 +25,131 @@ namespace {
 
 const AimdModel kModel{10'000.0, 20'000.0};
 
-void BM_TotalBufRequired(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        total_buf_required(Scenario::kSpread, k, 90'000, 5, kModel));
+// One iteration dispatches 1000 events; with a profiler attached every
+// dispatch is timed, so the delta between the two cases is that cost.
+int scheduler_mill(sim::SchedulerProfiler* prof) {
+  sim::Scheduler sched;
+  sched.set_profiler(prof);
+  int fired = 0;
+  for (int i = 0; i < 1000; ++i) {
+    sched.schedule_at(TimePoint::from_ns(i * 997 % 10'000),
+                      [&fired] { ++fired; }, sim::EventCategory::kTransport);
   }
+  sched.run_until(TimePoint::from_sec(1));
+  return fired;
 }
-BENCHMARK(BM_TotalBufRequired)->Arg(1)->Arg(4)->Arg(8);
 
-void BM_LayerBufRequired(benchmark::State& state) {
-  for (auto _ : state) {
+void run_all(bench::MicroBench& mb) {
+  for (const int k : {1, 4, 8}) {
+    mb.run("TotalBufRequired/" + std::to_string(k), [k] {
+      return total_buf_required(Scenario::kSpread, k, 90'000, 5, kModel);
+    });
+  }
+
+  mb.run("LayerBufRequired", [] {
+    double sum = 0;
     for (int layer = 0; layer < 5; ++layer) {
-      benchmark::DoNotOptimize(
-          layer_buf_required(Scenario::kSpread, 3, layer, 90'000, 5, kModel));
+      sum += layer_buf_required(Scenario::kSpread, 3, layer, 90'000, 5, kModel);
     }
-  }
-}
-BENCHMARK(BM_LayerBufRequired);
+    return sum;
+  });
 
-void BM_PickFillLayer(benchmark::State& state) {
-  const int na = static_cast<int>(state.range(0));
-  std::vector<double> bufs(static_cast<size_t>(na));
-  for (int i = 0; i < na; ++i) bufs[static_cast<size_t>(i)] = 1000.0 * i;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pick_fill_layer(bufs, na, 12'000.0 * na, kModel, 4));
+  for (const int na : {2, 5, 8}) {
+    std::vector<double> bufs(static_cast<size_t>(na));
+    for (int i = 0; i < na; ++i) bufs[static_cast<size_t>(i)] = 1000.0 * i;
+    mb.run("PickFillLayer/" + std::to_string(na), [&bufs, na] {
+      return pick_fill_layer(bufs, na, 12'000.0 * na, kModel, 4).layer;
+    });
   }
-}
-BENCHMARK(BM_PickFillLayer)->Arg(2)->Arg(5)->Arg(8);
 
-void BM_StateSequenceBuild(benchmark::State& state) {
-  const int kmax = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    StateSequence seq(90'000, 5, kModel, kmax);
-    benchmark::DoNotOptimize(seq.states().size());
+  for (const int kmax : {2, 5, 8}) {
+    mb.run("StateSequenceBuild/" + std::to_string(kmax), [kmax] {
+      StateSequence seq(90'000, 5, kModel, kmax);
+      return seq.states().size();
+    });
   }
-}
-BENCHMARK(BM_StateSequenceBuild)->Arg(2)->Arg(5)->Arg(8);
 
-void BM_DrainPlan(benchmark::State& state) {
-  std::vector<double> bufs = {9'000, 4'000, 1'500, 500, 0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        plan_drain_period(bufs, 5, 30'000, 60'000, kModel, 4, 0.25));
+  const std::vector<double> drain_bufs = {9'000, 4'000, 1'500, 500, 0};
+  mb.run("DrainPlan", [&drain_bufs] {
+    return plan_drain_period(drain_bufs, 5, 30'000, 60'000, kModel, 4, 0.25)
+        .planned_deficit;
+  });
+
+  for (const int kmax : {2, 5}) {
+    AdapterConfig cfg;
+    cfg.consumption_rate = 10'000;
+    cfg.max_layers = 8;
+    cfg.kmax = kmax;
+    cfg.playout_delay = TimeDelta::zero();
+    QualityAdapter adapter(cfg);
+    adapter.begin(TimePoint::origin());
+    double t = 0;
+    mb.run("AdapterSendOpportunity/" + std::to_string(kmax), [&adapter, &t] {
+      const int slot = adapter.on_send_opportunity(TimePoint::from_sec(t),
+                                                   45'000, 20'000, 1000);
+      t += 1000.0 / 45'000;
+      return slot;
+    });
   }
-}
-BENCHMARK(BM_DrainPlan);
 
-void BM_AdapterSendOpportunity(benchmark::State& state) {
-  AdapterConfig cfg;
-  cfg.consumption_rate = 10'000;
-  cfg.max_layers = 8;
-  cfg.kmax = static_cast<int>(state.range(0));
-  cfg.playout_delay = TimeDelta::zero();
-  QualityAdapter adapter(cfg);
-  adapter.begin(TimePoint::origin());
-  double t = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(adapter.on_send_opportunity(
-        TimePoint::from_sec(t), 45'000, 20'000, 1000));
-    t += 1000.0 / 45'000;
+  mb.run("SchedulerThroughput", [] { return scheduler_mill(nullptr); });
+
+  // The zero-cost-when-disabled contract: an Event with no subscribers must
+  // stay a single empty() branch on the per-packet path.
+  {
+    Event<int64_t> ev;
+    int64_t i = 0;
+    mb.run("EventEmitNoSubscribers", [&ev, &i] {
+      ev.emit(i);
+      return i++;
+    });
   }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AdapterSendOpportunity)->Arg(2)->Arg(5);
-
-void BM_SchedulerThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Scheduler sched;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      sched.schedule_at(TimePoint::from_ns(i * 997 % 10'000),
-                        [&fired] { ++fired; });
-    }
-    sched.run_until(TimePoint::from_sec(1));
-    benchmark::DoNotOptimize(fired);
+  {
+    Event<int64_t> ev;
+    int64_t sum = 0;
+    ev.subscribe([&sum](int64_t v) { sum += v; });
+    int64_t i = 0;
+    mb.run("EventEmitOneSubscriber", [&ev, &sum, &i] {
+      ev.emit(i++);
+      return sum;
+    });
   }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SchedulerThroughput);
 
-// The zero-cost-when-disabled contract: an Event with no subscribers must
-// stay a single empty() branch on the per-packet path.
-void BM_EventEmitNoSubscribers(benchmark::State& state) {
-  Event<int64_t> ev;
-  int64_t i = 0;
-  for (auto _ : state) {
-    ev.emit(i++);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventEmitNoSubscribers);
-
-void BM_EventEmitOneSubscriber(benchmark::State& state) {
-  Event<int64_t> ev;
-  int64_t sum = 0;
-  ev.subscribe([&sum](int64_t v) { sum += v; });
-  int64_t i = 0;
-  for (auto _ : state) {
-    ev.emit(i++);
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventEmitOneSubscriber);
-
-// Same event mill as BM_SchedulerThroughput but with the profiler attached:
-// the delta between the two is the cost of timing every dispatch.
-void BM_SchedulerThroughputProfiled(benchmark::State& state) {
   sim::SchedulerProfiler prof;
-  for (auto _ : state) {
-    sim::Scheduler sched;
-    sched.set_profiler(&prof);
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      sched.schedule_at(TimePoint::from_ns(i * 997 % 10'000),
-                        [&fired] { ++fired; },
-                        sim::EventCategory::kTransport);
-    }
-    sched.run_until(TimePoint::from_sec(1));
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-  state.counters["dispatches"] = static_cast<double>(prof.total_dispatches());
-  state.counters["wall_ms"] =
-      static_cast<double>(prof.total_wall_ns()) * 1e-6;
-}
-BENCHMARK(BM_SchedulerThroughputProfiled);
+  mb.run("SchedulerThroughputProfiled",
+         [&prof] { return scheduler_mill(&prof); });
 
-void BM_TraceDrivenSecond(benchmark::State& state) {
   // Cost of one simulated second of trace-driven quality adaptation.
-  const auto traj =
-      AimdTrajectory::sawtooth(30'000, 20'000, 50'000, 1.0);
-  AdapterConfig cfg;
-  cfg.consumption_rate = 10'000;
-  cfg.max_layers = 6;
-  cfg.kmax = 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tracedrive::run_trace(traj, cfg, 1.0));
+  {
+    const auto traj = AimdTrajectory::sawtooth(30'000, 20'000, 50'000, 1.0);
+    AdapterConfig cfg;
+    cfg.consumption_rate = 10'000;
+    cfg.max_layers = 6;
+    cfg.kmax = 2;
+    mb.run("TraceDrivenSecond", [&traj, &cfg] {
+      return tracedrive::run_trace(traj, cfg, 1.0).packets_sent;
+    });
   }
-}
-BENCHMARK(BM_TraceDrivenSecond);
 
-// Sensitivity: drain planning period length (DESIGN.md §7).
-void BM_DrainPlanPeriodSweep(benchmark::State& state) {
-  const double period = static_cast<double>(state.range(0)) / 1000.0;
-  std::vector<double> bufs = {9'000, 4'000, 1'500, 500, 0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        plan_drain_period(bufs, 5, 30'000, 60'000, kModel, 4, period));
+  // Sensitivity: drain planning period length (DESIGN.md §7).
+  for (const int period_ms : {50, 250, 1000}) {
+    const double period = period_ms / 1000.0;
+    mb.run("DrainPlanPeriodSweep/" + std::to_string(period_ms),
+           [&drain_bufs, period] {
+             return plan_drain_period(drain_bufs, 5, 30'000, 60'000, kModel, 4,
+                                      period)
+                 .planned_deficit;
+           });
   }
 }
-BENCHMARK(BM_DrainPlanPeriodSweep)->Arg(50)->Arg(250)->Arg(1000);
 
 }  // namespace
 }  // namespace qa::core
 
-BENCHMARK_MAIN();
+int main() {
+  qa::bench::banner("Micro-benchmarks: QA hot paths and the event loop");
+  qa::bench::MicroBench mb;
+  qa::core::run_all(mb);
+  mb.finish();
+  return 0;
+}

@@ -52,7 +52,10 @@ class LegacyScheduler {
 
   TimePoint now() const { return now_; }
 
-  EventId schedule_at(TimePoint at, std::function<void()> fn) {
+  // The category is accepted for call-site parity and ignored: the
+  // previous scheduler had no profiler.
+  EventId schedule_at(TimePoint at, std::function<void()> fn,
+                      sim::EventCategory /*category*/) {
     const EventId id = ++next_id_;
     heap_.push_back(Entry{at, next_seq_++, id, std::move(fn)});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
@@ -60,8 +63,9 @@ class LegacyScheduler {
     return id;
   }
 
-  EventId schedule_after(TimeDelta delay, std::function<void()> fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  EventId schedule_after(TimeDelta delay, std::function<void()> fn,
+                         sim::EventCategory category) {
+    return schedule_at(now_ + delay, std::move(fn), category);
   }
 
   void cancel(EventId id) {
@@ -146,14 +150,16 @@ double churn_workload(uint64_t ops, int width) {
     void operator()() {
       ++*fired;
       if (*fired < limit) {
-        s->schedule_after(TimeDelta::millis(1), *this);
+        s->schedule_after(TimeDelta::millis(1), *this,
+                          sim::EventCategory::kGeneric);
       }
     }
   };
   const auto start = std::chrono::steady_clock::now();
   for (int w = 0; w < width; ++w) {
     s.schedule_after(TimeDelta::millis(1),
-                     Chain{&s, &fired, ops, FatCapture{&fired, &s, 1, 2, 3}});
+                     Chain{&s, &fired, ops, FatCapture{&fired, &s, 1, 2, 3}},
+                     sim::EventCategory::kGeneric);
   }
   // Generously far horizon (the chains hop 1 ms and stop rescheduling at
   // `ops`, so they never come close to this).
@@ -173,8 +179,9 @@ double timer_workload(uint64_t ops) {
   uint64_t fired = 0;
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < ops; ++i) {
-    const auto id =
-        s.schedule_after(TimeDelta::millis(5), [&fired] { ++fired; });
+    const auto id = s.schedule_after(
+        TimeDelta::millis(5), [&fired] { ++fired; },
+        sim::EventCategory::kTransport);
     if (i % 4 != 0) s.cancel(id);
     if ((i & 1023) == 1023) {
       s.run_until(s.now() + TimeDelta::millis(1));

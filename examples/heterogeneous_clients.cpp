@@ -89,7 +89,7 @@ int main() {
     s.client().sync();
     std::printf("  %-22s %7d %8.1f %10.0f %9.3f\n", specs[i].name,
                 s.server().adapter().active_layers(),
-                s.rap_source().rate().kBps(), s.client().total_buffer(),
+                s.controller().rate().kBps(), s.client().total_buffer(),
                 s.client().base_stall().sec());
   }
   std::printf(

@@ -64,11 +64,11 @@ int main() {
     net.scheduler().schedule_at(TimePoint::from_sec(s), [&, s] {
       session.client().sync();
       std::printf("%6d  %10.2f  %6d  %11.0f  %9.3f\n", s,
-                  session.rap_source().rate().kBps(),
+                  session.controller().rate().kBps(),
                   session.server().adapter().active_layers(),
                   session.server().adapter().receiver().total_buffer(),
                   session.client().base_stall().sec());
-    });
+    }, sim::EventCategory::kProbe);
   }
 
   net.run(TimePoint::from_sec(duration));

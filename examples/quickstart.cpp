@@ -43,7 +43,7 @@ int main() {
   std::printf("  active layers        : %d of %d\n", adapter.active_layers(),
               cfg.stream_layers);
   std::printf("  transmission rate    : %.1f kB/s\n",
-              session.rap_source().rate().kBps());
+              session.controller().rate().kBps());
   std::printf("  packets delivered    : %lld\n",
               static_cast<long long>(session.client().packets_received()));
   std::printf("  receiver buffering   : %.0f bytes (client ground truth)\n",

@@ -100,9 +100,9 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   }
 
   // --- Competing plain RAP flows (pairs 1..rap_flows-1). -----------------
-  std::vector<rap::RapSource*> rap_competitors;
+  std::vector<cc::CongestionController*> rap_competitors;
   for (int i = 1; i < params.rap_flows; ++i) {
-    rap::RapParams rp;
+    cc::CcParams rp;
     rp.packet_size = params.packet_size;
     rp.initial_rate = params.layer_rate;
     rp.initial_rtt = params.rtt;
@@ -111,11 +111,11 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
     const sim::FlowId flow = net.allocate_flow_id();
     auto* src = net.adopt_agent(
         d.left[i], flow,
-        std::make_unique<rap::RapSource>(&net.scheduler(), d.left[i],
-                                         d.right[i]->id(), flow, rp));
+        cc::make_controller(cc::Backend::kRap, &net.scheduler(), d.left[i],
+                            d.right[i]->id(), flow, rp));
     net.adopt_agent(d.right[i], flow,
-                    std::make_unique<rap::RapSink>(&net.scheduler(),
-                                                   d.right[i]));
+                    std::make_unique<cc::CcSink>(&net.scheduler(),
+                                                 d.right[i]));
     rap_competitors.push_back(src);
   }
 
@@ -172,7 +172,7 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
     net.scheduler().schedule_at(at, [&, at] {
       auto& adapter = session.server().adapter();
       const auto& recv = adapter.receiver();
-      const double rate = session.rap_source().rate().bps();
+      const double rate = session.controller().rate().bps();
       const int na = adapter.active_layers();
       // Keep the client's rebuffer state fresh even when no packets arrive
       // (a paused or starved stream still has to notice it is dry).
@@ -203,9 +203,9 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   session.client().sync();
   auto& adapter = session.server().adapter();
   result.metrics = adapter.metrics();
-  result.qa_packets_sent = session.rap_source().packets_sent();
-  result.qa_losses = session.rap_source().losses_detected();
-  result.qa_backoffs = session.rap_source().backoffs();
+  result.qa_packets_sent = session.controller().packets_sent();
+  result.qa_losses = session.controller().losses_detected();
+  result.qa_backoffs = session.controller().backoffs();
   result.qa_mean_rate_bps = qa_rate_stats.mean();
   result.client_base_stall = session.client().base_stall();
   const auto& rebuf = session.client().rebuffers();

@@ -372,8 +372,8 @@ void Observability::attach_session(Session& session) {
   attach_adapter(session.server().adapter());
   attach_client(session.client());
   if (cfg_.journeys) {
-    session.rap_source().set_journey_recorder(&journeys_);
-    session.rap_sink().set_journey_recorder(&journeys_);
+    session.controller().set_journey_recorder(&journeys_);
+    session.sink().set_journey_recorder(&journeys_);
     session.client().set_journey_recorder(&journeys_);
   }
 }

@@ -1,6 +1,5 @@
 #include "app/session.h"
 
-#include "app/cc_factory.h"
 #include "core/layered_video.h"
 
 namespace qa::app {
@@ -21,19 +20,18 @@ Session::Session(sim::Network& net, sim::Node* server_host,
     : flow_(net.allocate_flow_id()),
       controller_(net.adopt_agent(
           server_host, flow_,
-          make_controller(cfg.backend, &net.scheduler(), server_host,
-                          client_host->id(), flow_, cfg.rap))),
-      rap_sink_(net.adopt_agent(
+          cc::make_controller(cfg.backend, &net.scheduler(), server_host,
+                              client_host->id(), flow_, cfg.rap))),
+      sink_(net.adopt_agent(
           client_host, flow_,
-          std::make_unique<rap::RapSink>(&net.scheduler(), client_host,
-                                         cfg.rap.ack_size))),
+          std::make_unique<cc::CcSink>(&net.scheduler(), client_host,
+                                       cfg.rap.ack_size))),
       server_(&net.scheduler(), controller_, cfg.adapter, resolve_video(cfg),
               cfg.server),
       client_(&net.scheduler(), cfg.layer_rate.bps(),
               cfg.video != nullptr ? cfg.video->layers() : cfg.stream_layers,
               cfg.adapter.playout_delay, cfg.keep_client_packet_log) {
-  rap_sink_->set_consumer(
-      [this](const sim::Packet& p) { client_.on_data(p); });
+  sink_->set_consumer([this](const sim::Packet& p) { client_.on_data(p); });
 }
 
 void Session::stop() {
@@ -41,7 +39,7 @@ void Session::stop() {
   stopped_ = true;
   controller_->stop();
   server_.detach_rap();
-  rap_sink_->set_consumer(nullptr);
+  sink_->set_consumer(nullptr);
 }
 
 Session::~Session() { stop(); }

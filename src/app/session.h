@@ -17,8 +17,8 @@
 
 #include "app/video_client.h"
 #include "app/video_server.h"
-#include "rap/rap_sink.h"
-#include "rap/rap_source.h"
+#include "cc/cc_sink.h"
+#include "cc/congestion_controller.h"
 #include "sim/network.h"
 
 namespace qa::app {
@@ -28,7 +28,7 @@ struct SessionConfig {
   // Which congestion-control law drives the stream. The rest of the stack
   // (server, adapter, client, sink) is backend-agnostic.
   cc::Backend backend = cc::Backend::kRap;
-  rap::RapParams rap;  // shared CcParams (historic field name)
+  cc::CcParams rap;  // shared by every backend (historic field name)
   VideoServerOptions server;
   int stream_layers = 8;
   Rate layer_rate = Rate::kilobytes_per_sec(10);
@@ -64,17 +64,15 @@ class Session {
   VideoServer& server() { return server_; }
   VideoClient& client() { return client_; }
   // The session's congestion controller (whatever backend the config
-  // chose). `rap_source()` is the historic spelling; both return the
-  // backend-agnostic interface.
+  // chose), as the backend-agnostic interface.
   cc::CongestionController& controller() { return *controller_; }
-  cc::CongestionController& rap_source() { return *controller_; }
-  rap::RapSink& rap_sink() { return *rap_sink_; }
+  cc::CcSink& sink() { return *sink_; }
   sim::FlowId flow_id() const { return flow_; }
 
  private:
   sim::FlowId flow_;
   cc::CongestionController* controller_;  // owned by the network
-  rap::RapSink* rap_sink_;                // owned by the network
+  cc::CcSink* sink_;                      // owned by the network
   VideoServer server_;
   VideoClient client_;
   bool stopped_ = false;

@@ -1,6 +1,6 @@
 // VideoClient: the receiver-side ground truth.
 //
-// The client consumes the packets a RapSink delivers, maintains its own
+// The client consumes the packets a CcSink delivers, maintains its own
 // per-layer playout buffers (the same ReceiverModel the server mirrors,
 // fed by *arrivals* instead of transmissions) and records the user-visible
 // outcomes: base-layer stalls, per-packet arrival→playout latency, and the
@@ -43,7 +43,7 @@ class VideoClient {
               TimeDelta playout_delay, bool keep_packet_log = false,
               TimeDelta rebuffer_debounce = TimeDelta::millis(200));
 
-  // Hook for RapSink::set_consumer.
+  // Hook for CcSink::set_consumer.
   void on_data(const sim::Packet& p);
 
   // Brings consumption up to the current simulated time.

@@ -2,6 +2,11 @@
 
 #include <stdexcept>
 
+#include "cc/nada_source.h"
+#include "cc/rap_source.h"
+#include "cc/tfrc_source.h"
+#include "util/check.h"
+
 namespace qa::cc {
 
 const char* to_string(Backend b) {
@@ -42,6 +47,21 @@ Backend parse_backend(const std::string& name) {
   }
   throw std::invalid_argument("unknown backend '" + name +
                               "' (valid values: " + valid + ")");
+}
+
+std::unique_ptr<CongestionController> make_controller(
+    Backend backend, sim::Scheduler* sched, sim::Node* local,
+    sim::NodeId peer, sim::FlowId flow, const CcParams& params) {
+  switch (backend) {
+    case Backend::kRap:
+      return std::make_unique<RapSource>(sched, local, peer, flow, params);
+    case Backend::kTfrc:
+      return std::make_unique<TfrcSource>(sched, local, peer, flow, params);
+    case Backend::kNada:
+      return std::make_unique<NadaSource>(sched, local, peer, flow, params);
+  }
+  QA_CHECK(false);
+  return nullptr;
 }
 
 }  // namespace qa::cc

@@ -28,11 +28,13 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/flow.h"
 #include "sim/node.h"
+#include "sim/scheduler.h"
 #include "util/event.h"
 #include "util/journey.h"
 #include "util/units.h"
@@ -78,8 +80,7 @@ class CcListener {
   virtual void on_quiescence(bool /*active*/) {}
 };
 
-// Parameters shared by every backend. (Historically rap::RapParams; the
-// fields are transport-generic, so the alias points here now.)
+// Parameters shared by every backend.
 struct CcParams {
   int32_t packet_size = 1000;      // bytes, data packets
   int32_t ack_size = 40;           // bytes
@@ -186,5 +187,11 @@ class CongestionController : public sim::Agent {
   Event<TimePoint, const sim::Packet&> on_timeout_loss_;
   Event<TimePoint, bool> on_quiescence_;
 };
+
+// Builds the requested backend on the given node/flow. The returned
+// controller is not yet started; hand it to Network::adopt_agent.
+std::unique_ptr<CongestionController> make_controller(
+    Backend backend, sim::Scheduler* sched, sim::Node* local,
+    sim::NodeId peer, sim::FlowId flow, const CcParams& params);
 
 }  // namespace qa::cc

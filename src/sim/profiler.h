@@ -22,10 +22,10 @@
 namespace qa::sim {
 
 enum class EventCategory : uint8_t {
-  kGeneric = 0,   // untagged legacy call sites
+  kGeneric = 0,   // work outside any subsystem (tests, synthetic loads)
   kLinkTx,        // link serialization completions
   kLinkWire,      // propagation-delay deliveries
-  kTransport,     // RAP/TCP/CBR timers and transmissions
+  kTransport,     // cc/TCP/CBR timers and transmissions
   kAdapter,       // quality-adapter driven work
   kProbe,         // samplers, probes, experiment measurement
   kFault,         // fault-injection actions

@@ -50,12 +50,11 @@ class Scheduler {
   TimePoint now() const { return now_; }
 
   // Schedules `fn` to run at absolute time `at` (>= now). `category` tags
-  // the event for the profiler and trace exporter.
-  EventId schedule_at(TimePoint at, SmallFn fn,
-                      EventCategory category = EventCategory::kGeneric);
+  // the event for the profiler and trace exporter; it has no default so
+  // every call site names the subsystem its handler belongs to.
+  EventId schedule_at(TimePoint at, SmallFn fn, EventCategory category);
   // Schedules `fn` after `delay` (>= 0).
-  EventId schedule_after(TimeDelta delay, SmallFn fn,
-                         EventCategory category = EventCategory::kGeneric);
+  EventId schedule_after(TimeDelta delay, SmallFn fn, EventCategory category);
 
   // Cancels a pending event. Cancelling an already-fired or invalid id is a
   // harmless no-op, which keeps timer bookkeeping in agents simple.

@@ -1,11 +1,11 @@
-// Fixture: cc-module violations — the backend layer reaching up into rap
-// (the factory in app/ exists precisely so cc never names a concrete
-// transport above it) and sideways into core, plus a literal-seeded Rng
+// Fixture: cc-module violations — the backend layer reaching up into app
+// (the application drives a controller; a controller never names the
+// application above it) and sideways into core, plus a literal-seeded Rng
 // inside a backend (seeds must arrive through CcParams). The sim include
 // is a permitted downward edge and must not fire.
 // Expected findings: 2 layering + 1 seed-plumbing.
 #include "core/metrics.h"    // finding 1: cc -> core
-#include "rap/rap_source.h"  // finding 2: cc -> rap
+#include "app/session.h"     // finding 2: cc -> app
 #include "sim/scheduler.h"   // OK: cc -> sim
 #include "util/rng.h"        // OK: cc -> util
 

@@ -48,7 +48,7 @@ TEST(Retransmission, ResendsLostBasePackets) {
   // Only base-layer packets qualify; upper-layer losses are never resent.
   // (Indirect check: retransmissions are bounded by total base losses.)
   EXPECT_LE(f.session->server().retransmissions(),
-            f.session->rap_source().losses_detected());
+            f.session->controller().losses_detected());
 }
 
 TEST(Retransmission, ImprovesDeliveredBaseBytes) {
@@ -57,7 +57,7 @@ TEST(Retransmission, ImprovesDeliveredBaseBytes) {
   auto base_goodput = [](int retransmit_below) {
     RetxFixture f(retransmit_below, 0.08);
     int64_t base_bytes = 0;
-    f.session->rap_sink().set_consumer([&](const sim::Packet& p) {
+    f.session->sink().set_consumer([&](const sim::Packet& p) {
       f.session->client().on_data(p);
       if (p.layer == 0) base_bytes += p.size_bytes;
     });

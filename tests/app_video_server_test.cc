@@ -5,8 +5,8 @@
 #include <memory>
 
 #include "app/video_client.h"
-#include "rap/rap_sink.h"
-#include "rap/rap_source.h"
+#include "cc/cc_sink.h"
+#include "cc/rap_source.h"
 #include "sim/network.h"
 #include "sim/topology.h"
 
@@ -16,8 +16,8 @@ namespace {
 struct ServerFixture : ::testing::Test {
   sim::Network net;
   sim::Dumbbell d;
-  rap::RapSource* rap = nullptr;
-  rap::RapSink* sink = nullptr;
+  cc::RapSource* rap = nullptr;
+  cc::CcSink* sink = nullptr;
   std::unique_ptr<VideoServer> server;
   std::vector<sim::Packet> received;
 
@@ -28,15 +28,15 @@ struct ServerFixture : ::testing::Test {
     topo.bottleneck_bw = bottleneck;
     d = sim::build_dumbbell(net, topo);
     const sim::FlowId flow = net.allocate_flow_id();
-    rap::RapParams rp;
+    cc::CcParams rp;
     rp.initial_rate = layer_rate;
     rap = net.adopt_agent(
         d.left[0], flow,
-        std::make_unique<rap::RapSource>(&net.scheduler(), d.left[0],
-                                         d.right[0]->id(), flow, rp));
+        std::make_unique<cc::RapSource>(&net.scheduler(), d.left[0],
+                                        d.right[0]->id(), flow, rp));
     sink = net.adopt_agent(d.right[0], flow,
-                           std::make_unique<rap::RapSink>(&net.scheduler(),
-                                                          d.right[0]));
+                           std::make_unique<cc::CcSink>(&net.scheduler(),
+                                                        d.right[0]));
     sink->set_consumer([this](const sim::Packet& p) { received.push_back(p); });
     server = std::make_unique<VideoServer>(
         &net.scheduler(), rap, cfg,

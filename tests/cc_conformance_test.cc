@@ -148,14 +148,14 @@ TEST_P(BackendConformance, AckStarvationQuiescenceAndRecovery) {
                                   session.client().sync();
                                   min_buffer = std::min(
                                       min_buffer, session.client().buffer(0));
-                                });
+                                }, sim::EventCategory::kProbe);
   }
   // Transmission progress after the outage cleared, sampled well into the
   // recovery window: more packets must leave between 25 s and 40 s.
   int64_t sent_at_25 = 0;
   net.scheduler().schedule_at(TimePoint::from_sec(25), [&session, &sent_at_25] {
     sent_at_25 = session.controller().packets_sent();
-  });
+  }, sim::EventCategory::kProbe);
   net.run(TimePoint::from_sec(40));
   session.client().sync();
 
@@ -204,8 +204,8 @@ TEST_P(BackendConformance, SameSeedRunsDigestIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
                          ::testing::ValuesIn(cc::all_backends()),
-                         [](const ::testing::TestParamInfo<cc::Backend>& info) {
-                           return std::string(cc::to_string(info.param));
+                         [](const ::testing::TestParamInfo<cc::Backend>& p) {
+                           return std::string(cc::to_string(p.param));
                          });
 
 // The backend name round-trip every CLI goes through: each backend parses

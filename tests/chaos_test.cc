@@ -87,7 +87,7 @@ TEST(ChaosDeterministic, DataOutageYieldsRebufferIntervalNotNegativeBuffer) {
           session.client().sync();
           min_buffer = std::min(min_buffer, session.client().buffer(0));
           saw_pause = saw_pause || session.client().rebuffering();
-        });
+        }, sim::EventCategory::kProbe);
   }
   net.run(TimePoint::from_sec(40));
   session.client().sync();
@@ -106,7 +106,7 @@ TEST(ChaosDeterministic, DataOutageYieldsRebufferIntervalNotNegativeBuffer) {
   EXPECT_FALSE(client.rebuffering());
   // The outage tripped the source's starvation handling and the server's
   // base-layer-only degradation at least once.
-  EXPECT_GE(session.rap_source().quiescence_entries(), 1);
+  EXPECT_GE(session.controller().quiescence_entries(), 1);
   EXPECT_GE(session.server().adapter().degraded_entries(), 1);
 }
 

@@ -7,20 +7,20 @@
 
 #include <memory>
 
-#include "rap/rap_sink.h"
-#include "rap/rap_source.h"
+#include "cc/cc_sink.h"
+#include "cc/rap_source.h"
 #include "sim/network.h"
 #include "sim/topology.h"
 #include "util/stats.h"
 
-namespace qa::rap {
+namespace qa::cc {
 namespace {
 
 struct Pair {
   sim::Network net;
   sim::Dumbbell d;
   RapSource* src = nullptr;
-  RapSink* sink = nullptr;
+  CcSink* sink = nullptr;
 
   explicit Pair(bool fine_grain, Rate bottleneck = Rate::kilobytes_per_sec(30)) {
     sim::DumbbellParams topo;
@@ -29,7 +29,7 @@ struct Pair {
     topo.rtt = TimeDelta::millis(40);
     topo.bottleneck_queue_bytes = 15'000;  // deep: visible RTT variation
     d = sim::build_dumbbell(net, topo);
-    RapParams params;
+    CcParams params;
     params.fine_grain = fine_grain;
     params.packet_size = 500;
     const sim::FlowId flow = net.allocate_flow_id();
@@ -38,8 +38,8 @@ struct Pair {
         std::make_unique<RapSource>(&net.scheduler(), d.left[0],
                                     d.right[0]->id(), flow, params));
     sink = net.adopt_agent(d.right[0], flow,
-                           std::make_unique<RapSink>(&net.scheduler(),
-                                                     d.right[0]));
+                           std::make_unique<CcSink>(&net.scheduler(),
+                                                    d.right[0]));
   }
 };
 
@@ -69,4 +69,4 @@ TEST(RapFineGrain, BothVariantsConvergeRttEstimates) {
 }
 
 }  // namespace
-}  // namespace qa::rap
+}  // namespace qa::cc

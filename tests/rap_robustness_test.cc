@@ -5,20 +5,20 @@
 
 #include <memory>
 
-#include "rap/rap_sink.h"
-#include "rap/rap_source.h"
+#include "cc/cc_sink.h"
+#include "cc/rap_source.h"
 #include "sim/loss_model.h"
 #include "sim/network.h"
 #include "sim/topology.h"
 
-namespace qa::rap {
+namespace qa::cc {
 namespace {
 
 struct Pair {
   sim::Network net;
   sim::Dumbbell d;
   RapSource* src = nullptr;
-  RapSink* sink = nullptr;
+  CcSink* sink = nullptr;
 
   explicit Pair(Rate bottleneck = Rate::kilobytes_per_sec(40)) {
     sim::DumbbellParams topo;
@@ -26,7 +26,7 @@ struct Pair {
     topo.bottleneck_bw = bottleneck;
     topo.rtt = TimeDelta::millis(40);
     d = sim::build_dumbbell(net, topo);
-    RapParams params;
+    CcParams params;
     params.packet_size = 500;
     const sim::FlowId flow = net.allocate_flow_id();
     src = net.adopt_agent(
@@ -34,8 +34,8 @@ struct Pair {
         std::make_unique<RapSource>(&net.scheduler(), d.left[0],
                                     d.right[0]->id(), flow, params));
     sink = net.adopt_agent(d.right[0], flow,
-                           std::make_unique<RapSink>(&net.scheduler(),
-                                                     d.right[0]));
+                           std::make_unique<CcSink>(&net.scheduler(),
+                                                    d.right[0]));
   }
 };
 
@@ -146,4 +146,4 @@ TEST(RapRobustness, MinRateFloorUnderPersistentLoss) {
 }
 
 }  // namespace
-}  // namespace qa::rap
+}  // namespace qa::cc

@@ -1,25 +1,25 @@
-#include "rap/rap_source.h"
+#include "cc/rap_source.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "rap/rap_sink.h"
+#include "cc/cc_sink.h"
 #include "sim/network.h"
 #include "sim/topology.h"
 #include "util/stats.h"
 
-namespace qa::rap {
+namespace qa::cc {
 namespace {
 
 struct RapPair {
   sim::Network net;
   sim::Dumbbell d;
   RapSource* src = nullptr;
-  RapSink* sink = nullptr;
+  CcSink* sink = nullptr;
 
   explicit RapPair(Rate bottleneck = Rate::kilobytes_per_sec(50),
-                   RapParams params = {}) {
+                   CcParams params = {}) {
     sim::DumbbellParams topo;
     topo.pairs = 1;
     topo.bottleneck_bw = bottleneck;
@@ -31,12 +31,12 @@ struct RapPair {
         std::make_unique<RapSource>(&net.scheduler(), d.left[0],
                                     d.right[0]->id(), flow, params));
     sink = net.adopt_agent(d.right[0], flow,
-                           std::make_unique<RapSink>(&net.scheduler(),
-                                                     d.right[0]));
+                           std::make_unique<CcSink>(&net.scheduler(),
+                                                    d.right[0]));
   }
 };
 
-class BackoffRecorder : public RapListener {
+class BackoffRecorder : public CcListener {
  public:
   void on_backoff(Rate new_rate) override {
     backoffs.push_back(new_rate.bps());
@@ -115,7 +115,7 @@ TEST(RapSource, OneBackoffPerCongestionEvent) {
 }
 
 TEST(RapSource, RateFloorRespected) {
-  RapParams params;
+  CcParams params;
   params.min_rate = Rate::bytes_per_sec(2000);
   params.initial_rate = Rate::bytes_per_sec(2000);
   // A bottleneck so slow that AIMD would push below the floor.
@@ -143,7 +143,7 @@ TEST(RapSource, PayloadTaggerInvokedForEveryDataPacket) {
   EXPECT_GT(tagged, 0);
 }
 
-TEST(RapSink, AcksEveryPacketWithEcho) {
+TEST(CcSink, AcksEveryPacketWithEcho) {
   RapPair pair(Rate::megabits_per_sec(10));
   pair.net.run(TimePoint::from_sec(1));
   EXPECT_GT(pair.sink->packets_received(), 0);
@@ -160,10 +160,10 @@ TEST(RapSource, TwoFlowsShareFairly) {
   topo.rtt = TimeDelta::millis(40);
   sim::Dumbbell d = sim::build_dumbbell(net, topo);
 
-  std::vector<RapSink*> sinks;
+  std::vector<CcSink*> sinks;
   for (int i = 0; i < 2; ++i) {
     const sim::FlowId flow = net.allocate_flow_id();
-    RapParams params;
+    CcParams params;
     params.start_time = TimePoint::from_sec(0.1 * i);
     net.adopt_agent(d.left[i], flow,
                     std::make_unique<RapSource>(&net.scheduler(), d.left[i],
@@ -171,7 +171,7 @@ TEST(RapSource, TwoFlowsShareFairly) {
                                                 params));
     sinks.push_back(net.adopt_agent(
         d.right[i], flow,
-        std::make_unique<RapSink>(&net.scheduler(), d.right[i])));
+        std::make_unique<CcSink>(&net.scheduler(), d.right[i])));
   }
   net.run(TimePoint::from_sec(40));
   const double g0 = static_cast<double>(sinks[0]->bytes_received());
@@ -181,7 +181,7 @@ TEST(RapSource, TwoFlowsShareFairly) {
 }
 
 TEST(RapSource, StartTimeDefersTransmission) {
-  RapParams params;
+  CcParams params;
   params.start_time = TimePoint::from_sec(1.0);
   RapPair pair(Rate::kilobytes_per_sec(50), params);
   pair.net.run(TimePoint::from_sec(0.9));
@@ -191,4 +191,4 @@ TEST(RapSource, StartTimeDefersTransmission) {
 }
 
 }  // namespace
-}  // namespace qa::rap
+}  // namespace qa::cc

@@ -62,7 +62,7 @@ TEST_F(FaultFixture, OutageKillsPacketMidSerialization) {
     OutagePolicy policy;
     policy.drop_in_flight = true;
     link->set_down(policy);
-  });
+  }, EventCategory::kFault);
   sched.run_until(TimePoint::from_sec(1));
   EXPECT_TRUE(recorder.arrivals.empty());
   EXPECT_EQ(link->outage_drops(), 1);
@@ -77,7 +77,7 @@ TEST_F(FaultFixture, OutageKillsPacketMidPropagation) {
     OutagePolicy policy;
     policy.drop_in_flight = true;
     link->set_down(policy);
-  });
+  }, EventCategory::kFault);
   sched.run_until(TimePoint::from_sec(1));
   EXPECT_TRUE(recorder.arrivals.empty());
   EXPECT_EQ(link->outage_drops(), 1);
@@ -91,7 +91,7 @@ TEST_F(FaultFixture, GentleOutageLetsInFlightPacketLand) {
     OutagePolicy policy;
     policy.drop_in_flight = false;
     link->set_down(policy);
-  });
+  }, EventCategory::kFault);
   sched.run_until(TimePoint::from_sec(1));
   ASSERT_EQ(recorder.arrivals.size(), 1u);
   EXPECT_EQ(recorder.arrivals[0].t, TimePoint::from_sec(0.015));
@@ -107,7 +107,8 @@ TEST_F(FaultFixture, QueueSurvivesOutageAndDrainsOnRestore) {
   link->set_down(keep);
   for (int i = 0; i < 3; ++i) link->submit(make_packet(1000));
   EXPECT_EQ(link->queue().packets(), 3u);
-  sched.schedule_at(TimePoint::from_sec(0.1), [&] { link->set_up(); });
+  sched.schedule_at(TimePoint::from_sec(0.1), [&] { link->set_up(); },
+                    EventCategory::kFault);
   sched.run_until(TimePoint::from_sec(1));
   // All three drain after restore, spaced by serialization.
   ASSERT_EQ(recorder.arrivals.size(), 3u);
@@ -126,7 +127,7 @@ TEST_F(FaultFixture, DropQueuedFlushesQueueAtOutage) {
     policy.drop_queued = true;
     policy.drop_in_flight = true;
     link->set_down(policy);
-  });
+  }, EventCategory::kFault);
   sched.run_until(TimePoint::from_sec(1));
   EXPECT_TRUE(recorder.arrivals.empty());
   EXPECT_EQ(link->outage_drops(), 4);  // 1 serializing + 3 flushed
@@ -154,17 +155,21 @@ TEST_F(FaultFixture, ConservationHoldsAcrossOutageWithTrafficInEveryStage) {
   // Continuous offered load across the outage.
   for (int i = 0; i < 50; ++i) {
     sched.schedule_at(TimePoint::from_sec(0.004 * i),
-                      [&] { link->submit(make_packet(1000)); });
+                      [&] { link->submit(make_packet(1000)); },
+                      EventCategory::kTransport);
   }
   OutagePolicy policy;
   policy.drop_in_flight = true;
-  sched.schedule_at(TimePoint::from_sec(0.05), [&] { link->set_down(policy); });
-  sched.schedule_at(TimePoint::from_sec(0.1), [&] { link->set_up(); });
+  sched.schedule_at(TimePoint::from_sec(0.05), [&] { link->set_down(policy); },
+                    EventCategory::kFault);
+  sched.schedule_at(TimePoint::from_sec(0.1), [&] { link->set_up(); },
+                    EventCategory::kFault);
   // Audit at instants straddling the transitions (the link also self-audits
   // after every internal event; QA_INVARIANT aborts the test on violation).
   for (double t : {0.049, 0.051, 0.099, 0.101, 0.5}) {
     sched.schedule_at(TimePoint::from_sec(t),
-                      [&] { link->audit_packet_conservation(); });
+                      [&] { link->audit_packet_conservation(); },
+                      EventCategory::kProbe);
   }
   sched.run_until(TimePoint::from_sec(1));
   EXPECT_EQ(link->packets_submitted(), 50);
@@ -180,9 +185,11 @@ TEST_F(FaultFixture, InjectorOutageDownAndRestoreOnSchedule) {
   FaultInjector inj(&sched);
   inj.outage(link.get(), TimePoint::from_sec(0.1), TimeDelta::millis(100));
   sched.schedule_at(TimePoint::from_sec(0.15),
-                    [&] { EXPECT_FALSE(link->is_up()); });
+                    [&] { EXPECT_FALSE(link->is_up()); },
+                    EventCategory::kProbe);
   sched.schedule_at(TimePoint::from_sec(0.25),
-                    [&] { EXPECT_TRUE(link->is_up()); });
+                    [&] { EXPECT_TRUE(link->is_up()); },
+                    EventCategory::kProbe);
   sched.run_until(TimePoint::from_sec(1));
   EXPECT_EQ(link->outages(), 1);
   EXPECT_EQ(inj.faults_scheduled(), 1);
@@ -194,9 +201,11 @@ TEST_F(FaultFixture, NestedOutagesRestoreOnlyWhenLastEnds) {
   inj.outage(link.get(), TimePoint::from_sec(0.1), TimeDelta::millis(200));
   inj.outage(link.get(), TimePoint::from_sec(0.2), TimeDelta::millis(200));
   sched.schedule_at(TimePoint::from_sec(0.35),
-                    [&] { EXPECT_FALSE(link->is_up()); });  // first ended
+                    [&] { EXPECT_FALSE(link->is_up()); },  // first ended
+                    EventCategory::kProbe);
   sched.schedule_at(TimePoint::from_sec(0.45),
-                    [&] { EXPECT_TRUE(link->is_up()); });
+                    [&] { EXPECT_TRUE(link->is_up()); },
+                    EventCategory::kProbe);
   sched.run_until(TimePoint::from_sec(1));
   EXPECT_EQ(link->outages(), 1);  // one physical down/up pair
 }
@@ -218,7 +227,7 @@ TEST_F(FaultFixture, BandwidthWindowRestoresOriginal) {
                        TimeDelta::millis(100), Rate::kilobytes_per_sec(10));
   sched.schedule_at(TimePoint::from_sec(0.15), [&] {
     EXPECT_DOUBLE_EQ(link->bandwidth().bps(), 10'000.0);
-  });
+  }, EventCategory::kProbe);
   sched.run_until(TimePoint::from_sec(1));
   EXPECT_DOUBLE_EQ(link->bandwidth().bps(), 100'000.0);
 }
@@ -230,7 +239,7 @@ TEST_F(FaultFixture, DelayWindowRestoresOriginal) {
                    TimeDelta::millis(100), TimeDelta::millis(80));
   sched.schedule_at(TimePoint::from_sec(0.15), [&] {
     EXPECT_EQ(link->prop_delay(), TimeDelta::millis(80));
-  });
+  }, EventCategory::kProbe);
   sched.run_until(TimePoint::from_sec(1));
   EXPECT_EQ(link->prop_delay(), TimeDelta::millis(5));
 }
@@ -241,7 +250,7 @@ TEST_F(FaultFixture, BandwidthChangeAppliesFromNextPacket) {
   link->submit(make_packet(1000));  // then 10..110 ms at 10 kB/s
   sched.schedule_at(TimePoint::from_sec(0.005), [&] {
     link->set_bandwidth(Rate::kilobytes_per_sec(10));
-  });
+  }, EventCategory::kFault);
   sched.run_until(TimePoint::from_sec(1));
   ASSERT_EQ(recorder.arrivals.size(), 2u);
   // First packet finishes at the old bandwidth.
@@ -260,11 +269,14 @@ TEST_F(FaultFixture, LossWindowInstallsAndClearsModel) {
                   ge, 9);
   // One packet before, one during, one after the window.
   sched.schedule_at(TimePoint::from_sec(0.05),
-                    [&] { link->submit(make_packet(1000)); });
+                    [&] { link->submit(make_packet(1000)); },
+                    EventCategory::kTransport);
   sched.schedule_at(TimePoint::from_sec(0.15),
-                    [&] { link->submit(make_packet(1000)); });
+                    [&] { link->submit(make_packet(1000)); },
+                    EventCategory::kTransport);
   sched.schedule_at(TimePoint::from_sec(0.3),
-                    [&] { link->submit(make_packet(1000)); });
+                    [&] { link->submit(make_packet(1000)); },
+                    EventCategory::kTransport);
   sched.run_until(TimePoint::from_sec(1));
   EXPECT_EQ(recorder.arrivals.size(), 2u);
   EXPECT_EQ(link->wire_drops(), 1);
@@ -279,7 +291,8 @@ TEST_F(FaultFixture, ImpairmentWindowDuplicatesAreDelivered) {
   inj.impairment_window(link.get(), TimePoint::from_sec(0.1),
                         TimeDelta::millis(100), rp, 10);
   sched.schedule_at(TimePoint::from_sec(0.15),
-                    [&] { link->submit(make_packet(1000)); });
+                    [&] { link->submit(make_packet(1000)); },
+                    EventCategory::kTransport);
   sched.run_until(TimePoint::from_sec(1));
   // Original + duplicate, duplicate one serialization time behind.
   ASSERT_EQ(recorder.arrivals.size(), 2u);

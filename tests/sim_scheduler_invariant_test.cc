@@ -27,7 +27,8 @@ TEST(SchedulerContract, RejectsSchedulingIntoThePast) {
   ScopedThrowSink sink;
   Scheduler s;
   s.run_until(TimePoint::from_sec(5.0));
-  EXPECT_THROW(s.schedule_at(TimePoint::from_sec(4.0), [] {}),
+  EXPECT_THROW(s.schedule_at(TimePoint::from_sec(4.0), [] {},
+                             EventCategory::kGeneric),
                CheckFailure);
   // The failed schedule must not have left a phantom event behind.
   EXPECT_EQ(s.pending_events(), 0u);
@@ -36,7 +37,8 @@ TEST(SchedulerContract, RejectsSchedulingIntoThePast) {
 TEST(SchedulerContract, RejectsNegativeDelay) {
   ScopedThrowSink sink;
   Scheduler s;
-  EXPECT_THROW(s.schedule_after(TimeDelta::nanos(-1), [] {}),
+  EXPECT_THROW(s.schedule_after(TimeDelta::nanos(-1), [] {},
+                                EventCategory::kGeneric),
                CheckFailure);
 }
 
@@ -44,7 +46,7 @@ TEST(SchedulerContract, SchedulingAtNowIsAllowed) {
   Scheduler s;
   s.run_until(TimePoint::from_sec(1.0));
   bool ran = false;
-  s.schedule_at(s.now(), [&] { ran = true; });
+  s.schedule_at(s.now(), [&] { ran = true; }, EventCategory::kGeneric);
   s.run_until(s.now());
   EXPECT_TRUE(ran);
 }
@@ -53,7 +55,8 @@ TEST(SchedulerReclaim, CancelOfFiredIdDoesNotGrowBacklog) {
   Scheduler s;
   std::vector<EventId> ids;
   for (int i = 0; i < 100; ++i) {
-    ids.push_back(s.schedule_after(TimeDelta::millis(i), [] {}));
+    ids.push_back(s.schedule_after(TimeDelta::millis(i), [] {},
+                                   EventCategory::kGeneric));
   }
   s.run_until(TimePoint::from_sec(1.0));
   // The fire-then-cancel timer pattern: every id is stale by now.
@@ -67,7 +70,8 @@ TEST(SchedulerReclaim, MassCancellationCompactsTheHeap) {
   constexpr int kEvents = 1000;
   std::vector<EventId> ids;
   for (int i = 0; i < kEvents; ++i) {
-    ids.push_back(s.schedule_after(TimeDelta::millis(i + 1), [] {}));
+    ids.push_back(s.schedule_after(TimeDelta::millis(i + 1), [] {},
+                                   EventCategory::kGeneric));
   }
   for (const EventId id : ids) s.cancel(id);
   EXPECT_EQ(s.pending_events(), 0u);
@@ -83,7 +87,8 @@ TEST(SchedulerReclaim, CompactionReleasesCancelledCallableState) {
   std::vector<EventId> ids;
   for (int i = 0; i < kEvents; ++i) {
     ids.push_back(
-        s.schedule_after(TimeDelta::millis(i + 1), [payload] { (void)*payload; }));
+        s.schedule_after(TimeDelta::millis(i + 1), [payload] { (void)*payload; },
+                         EventCategory::kGeneric));
   }
   EXPECT_EQ(payload.use_count(), 1 + kEvents);
   for (const EventId id : ids) s.cancel(id);
@@ -104,7 +109,8 @@ TEST(SchedulerReclaim, InterleavedCancelKeepsSurvivorsIntact) {
   int fired = 0;
   std::vector<EventId> ids;
   for (int i = 0; i < kEvents; ++i) {
-    ids.push_back(s.schedule_after(TimeDelta::millis(i + 1), [&] { ++fired; }));
+    ids.push_back(s.schedule_after(TimeDelta::millis(i + 1), [&] { ++fired; },
+                                   EventCategory::kGeneric));
   }
   // Cancel every other event; compaction along the way must not disturb
   // ordering or drop survivors.
@@ -117,8 +123,9 @@ TEST(SchedulerReclaim, InterleavedCancelKeepsSurvivorsIntact) {
 
 TEST(SchedulerReclaim, DoubleCancelIsIdempotent) {
   Scheduler s;
-  const EventId id = s.schedule_after(TimeDelta::millis(1), [] {});
-  s.schedule_after(TimeDelta::millis(2), [] {});
+  const EventId id = s.schedule_after(TimeDelta::millis(1), [] {},
+                                      EventCategory::kGeneric);
+  s.schedule_after(TimeDelta::millis(2), [] {}, EventCategory::kGeneric);
   s.cancel(id);
   const size_t backlog = s.cancelled_backlog();
   s.cancel(id);  // second cancel of the same id: no double bookkeeping

@@ -18,9 +18,12 @@ TEST(Scheduler, StartsAtOrigin) {
 TEST(Scheduler, RunsEventsInTimeOrder) {
   Scheduler s;
   std::vector<int> order;
-  s.schedule_at(TimePoint::from_sec(3.0), [&] { order.push_back(3); });
-  s.schedule_at(TimePoint::from_sec(1.0), [&] { order.push_back(1); });
-  s.schedule_at(TimePoint::from_sec(2.0), [&] { order.push_back(2); });
+  s.schedule_at(TimePoint::from_sec(3.0), [&] { order.push_back(3); },
+                EventCategory::kGeneric);
+  s.schedule_at(TimePoint::from_sec(1.0), [&] { order.push_back(1); },
+                EventCategory::kGeneric);
+  s.schedule_at(TimePoint::from_sec(2.0), [&] { order.push_back(2); },
+                EventCategory::kGeneric);
   s.run_until(TimePoint::from_sec(10));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(s.now(), TimePoint::from_sec(10));
@@ -31,7 +34,7 @@ TEST(Scheduler, SimultaneousEventsRunFifo) {
   std::vector<int> order;
   const TimePoint t = TimePoint::from_sec(1.0);
   for (int i = 0; i < 5; ++i) {
-    s.schedule_at(t, [&, i] { order.push_back(i); });
+    s.schedule_at(t, [&, i] { order.push_back(i); }, EventCategory::kGeneric);
   }
   s.run_until(TimePoint::from_sec(2));
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -41,8 +44,9 @@ TEST(Scheduler, ScheduleAfterUsesNow) {
   Scheduler s;
   TimePoint fired;
   s.schedule_after(TimeDelta::seconds(1), [&] {
-    s.schedule_after(TimeDelta::seconds(2), [&] { fired = s.now(); });
-  });
+    s.schedule_after(TimeDelta::seconds(2), [&] { fired = s.now(); },
+                     EventCategory::kGeneric);
+  }, EventCategory::kGeneric);
   s.run_until(TimePoint::from_sec(5));
   EXPECT_EQ(fired, TimePoint::from_sec(3));
 }
@@ -50,7 +54,8 @@ TEST(Scheduler, ScheduleAfterUsesNow) {
 TEST(Scheduler, RunUntilStopsAtBoundary) {
   Scheduler s;
   bool late = false;
-  s.schedule_at(TimePoint::from_sec(2.0), [&] { late = true; });
+  s.schedule_at(TimePoint::from_sec(2.0), [&] { late = true; },
+                EventCategory::kGeneric);
   s.run_until(TimePoint::from_sec(1.0));
   EXPECT_FALSE(late);
   EXPECT_EQ(s.now(), TimePoint::from_sec(1.0));
@@ -61,7 +66,8 @@ TEST(Scheduler, RunUntilStopsAtBoundary) {
 TEST(Scheduler, CancelPreventsExecution) {
   Scheduler s;
   bool ran = false;
-  const EventId id = s.schedule_at(TimePoint::from_sec(1), [&] { ran = true; });
+  const EventId id = s.schedule_at(TimePoint::from_sec(1), [&] { ran = true; },
+                                   EventCategory::kGeneric);
   s.cancel(id);
   s.run_until(TimePoint::from_sec(2));
   EXPECT_FALSE(ran);
@@ -72,7 +78,8 @@ TEST(Scheduler, CancelInvalidIdIsNoop) {
   s.cancel(kInvalidEventId);
   s.cancel(99999);
   bool ran = false;
-  s.schedule_at(TimePoint::from_sec(1), [&] { ran = true; });
+  s.schedule_at(TimePoint::from_sec(1), [&] { ran = true; },
+                EventCategory::kGeneric);
   s.run_until(TimePoint::from_sec(2));
   EXPECT_TRUE(ran);
 }
@@ -82,8 +89,10 @@ TEST(Scheduler, CancelledEventAtBoundaryDoesNotLeakLaterEvent) {
   // to run early.
   Scheduler s;
   bool late = false;
-  const EventId id = s.schedule_at(TimePoint::from_sec(0.5), [] {});
-  s.schedule_at(TimePoint::from_sec(2.0), [&] { late = true; });
+  const EventId id = s.schedule_at(TimePoint::from_sec(0.5), [] {},
+                                   EventCategory::kGeneric);
+  s.schedule_at(TimePoint::from_sec(2.0), [&] { late = true; },
+                EventCategory::kGeneric);
   s.cancel(id);
   s.run_until(TimePoint::from_sec(1.0));
   EXPECT_FALSE(late);
@@ -92,8 +101,10 @@ TEST(Scheduler, CancelledEventAtBoundaryDoesNotLeakLaterEvent) {
 TEST(Scheduler, RunOne) {
   Scheduler s;
   int count = 0;
-  s.schedule_at(TimePoint::from_sec(1), [&] { ++count; });
-  s.schedule_at(TimePoint::from_sec(2), [&] { ++count; });
+  s.schedule_at(TimePoint::from_sec(1), [&] { ++count; },
+                EventCategory::kGeneric);
+  s.schedule_at(TimePoint::from_sec(2), [&] { ++count; },
+                EventCategory::kGeneric);
   EXPECT_TRUE(s.run_one());
   EXPECT_EQ(count, 1);
   EXPECT_EQ(s.now(), TimePoint::from_sec(1));
@@ -106,9 +117,11 @@ TEST(Scheduler, EventsScheduledDuringRunExecute) {
   Scheduler s;
   int depth = 0;
   std::function<void()> chain = [&] {
-    if (++depth < 10) s.schedule_after(TimeDelta::millis(10), chain);
+    if (++depth < 10) {
+      s.schedule_after(TimeDelta::millis(10), chain, EventCategory::kGeneric);
+    }
   };
-  s.schedule_after(TimeDelta::millis(10), chain);
+  s.schedule_after(TimeDelta::millis(10), chain, EventCategory::kGeneric);
   s.run_until(TimePoint::from_sec(1));
   EXPECT_EQ(depth, 10);
   EXPECT_EQ(s.events_executed(), 10u);
@@ -119,7 +132,8 @@ TEST(Scheduler, ManyEventsStressOrdering) {
   std::vector<int64_t> times;
   for (int i = 1000; i >= 1; --i) {
     s.schedule_at(TimePoint::from_ns(i * 7919 % 4999 + 1),
-                  [&, i] { times.push_back(s.now().ns()); });
+                  [&, i] { times.push_back(s.now().ns()); },
+                  EventCategory::kGeneric);
   }
   s.run_until(TimePoint::from_sec(1));
   for (size_t i = 1; i < times.size(); ++i) {
@@ -137,7 +151,7 @@ TEST(SchedulerProfiler, AttributesDispatchesToCategories) {
                   EventCategory::kTransport);
   }
   s.schedule_at(TimePoint::from_sec(10), [] {}, EventCategory::kProbe);
-  s.schedule_at(TimePoint::from_sec(11), [] {});  // default: kGeneric
+  s.schedule_at(TimePoint::from_sec(11), [] {}, EventCategory::kGeneric);
   s.run_until(TimePoint::from_sec(20));
 
   EXPECT_EQ(prof.stats(EventCategory::kTransport).dispatches, 3u);
@@ -155,10 +169,10 @@ TEST(SchedulerProfiler, DetachedProfilerStopsRecording) {
   Scheduler s;
   SchedulerProfiler prof;
   s.set_profiler(&prof);
-  s.schedule_at(TimePoint::from_sec(1), [] {});
+  s.schedule_at(TimePoint::from_sec(1), [] {}, EventCategory::kGeneric);
   s.run_until(TimePoint::from_sec(2));
   s.set_profiler(nullptr);
-  s.schedule_at(TimePoint::from_sec(3), [] {});
+  s.schedule_at(TimePoint::from_sec(3), [] {}, EventCategory::kGeneric);
   s.run_until(TimePoint::from_sec(4));
   EXPECT_EQ(prof.total_dispatches(), 1u);
 }

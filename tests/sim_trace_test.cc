@@ -20,7 +20,8 @@ TEST(PeriodicSampler, SamplesOnTheGrid) {
   double value = 0;
   PeriodicSampler sampler(&sched, TimeDelta::millis(100), [&] { return value; });
   sampler.start();
-  sched.schedule_at(TimePoint::from_sec(0.25), [&] { value = 7; });
+  sched.schedule_at(TimePoint::from_sec(0.25), [&] { value = 7; },
+                    EventCategory::kGeneric);
   sched.run_until(TimePoint::from_sec(1.0));
   const auto& pts = sampler.series().points();
   ASSERT_EQ(pts.size(), 10u);
@@ -98,7 +99,8 @@ TEST_F(ProbeFixture, LinkRateProbeStopFlushesPartialTailWindow) {
   probe.start();
   send(1, 20);  // 20 kB: 0.2 s of serialization at 100 kB/s
   // Stop mid-second-window, after the traffic has fully serialized.
-  net.scheduler().schedule_at(TimePoint::from_sec(0.75), [&] { probe.stop(); });
+  net.scheduler().schedule_at(TimePoint::from_sec(0.75), [&] { probe.stop(); },
+                              EventCategory::kProbe);
   net.run(TimePoint::from_sec(2.0));
   const auto& pts = probe.flow_series(1).points();
   // Window 1 (full, 0.5 s) plus the flushed 0.25 s partial tail.
@@ -115,7 +117,8 @@ TEST_F(ProbeFixture, LinkRateProbeStopBeforeAnyWindowKeepsPartialOnly) {
   LinkRateProbe probe(&net.scheduler(), ab, TimeDelta::millis(500));
   probe.start();
   send(1, 10);  // 10 kB in 0.1 s
-  net.scheduler().schedule_at(TimePoint::from_sec(0.2), [&] { probe.stop(); });
+  net.scheduler().schedule_at(TimePoint::from_sec(0.2), [&] { probe.stop(); },
+                              EventCategory::kProbe);
   net.run(TimePoint::from_sec(1.0));
   const auto& pts = probe.flow_series(1).points();
   ASSERT_EQ(pts.size(), 1u);
@@ -128,7 +131,7 @@ TEST_F(ProbeFixture, QueueProbeStopHaltsSampling) {
   probe.start();
   send(1, 10);
   net.scheduler().schedule_at(TimePoint::from_sec(0.055),
-                              [&] { probe.stop(); });
+                              [&] { probe.stop(); }, EventCategory::kProbe);
   net.run(TimePoint::from_sec(1.0));
   EXPECT_EQ(probe.series().points().size(), 5u);  // 10..50 ms
 }
