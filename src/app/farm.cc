@@ -4,13 +4,15 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
+#include "app/observability.h"
 #include "app/session.h"
 #include "core/layered_video.h"
 #include "sim/fault.h"
 #include "util/csv.h"
-#include "util/json.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -78,18 +80,13 @@ class Farm {
     stall_sketches_.assign(static_cast<size_t>(n_classes), QuantileSketch());
     goodput_sketches_.assign(static_cast<size_t>(n_classes), QuantileSketch());
 
-    if (params_.trace != nullptr) {
-      params_.trace->name_track(ChromeTraceWriter::kFarmTrack,
-                                "farm control");
+    if (ChromeTraceWriter* trace = farm_trace()) {
+      trace->name_track(ChromeTraceWriter::kFarmTrack, "farm control");
     }
     if (params_.registry != nullptr) {
       // Created up front so the row exists even in runs where the ladder
       // never leaves kNormal.
       params_.registry->gauge("farm.ladder.level").set(0);
-      if (params_.live != nullptr) {
-        live_snapshotter_ =
-            std::make_unique<MetricsSnapshotter>(params_.registry);
-      }
     }
   }
 
@@ -160,27 +157,16 @@ class Farm {
     }
   }
 
-  // Flight-recorder note + live SSE "note" event (same payload shape as
-  // Observability::live_note, so one console renders both kinds of run).
-  void note(TimePoint now, std::string_view kind,
-            const std::string& detail_json) {
-    if (params_.flightrec != nullptr) {
-      params_.flightrec->note(now, kind, detail_json);
-    }
-    if (params_.live != nullptr) {
-      params_.live->publish_event(
-          "note", "{\"t\": " + json_number(now.sec()) +
-                      ", \"kind\": " + json_quote(kind) +
-                      ", \"detail\": " + detail_json + "}");
-    }
+  // The hub's trace, for the farm counter tracks; null without one.
+  ChromeTraceWriter* farm_trace() const {
+    return params_.obs != nullptr ? params_.obs->trace() : nullptr;
   }
 
   void emit_verdict(TimePoint now, const char* verdict) {
-    if (params_.trace != nullptr) {
-      params_.trace->instant(now, ChromeTraceWriter::kFarmTrack,
-                             std::string("admission ") + verdict);
+    if (params_.obs != nullptr) {
+      params_.obs->note(now, ChromeTraceWriter::kFarmTrack,
+                        std::string("farm.admission.") + verdict);
     }
-    note(now, std::string("farm.admission.") + verdict, "{}");
   }
 
   int active_count() const { return active_; }
@@ -339,13 +325,11 @@ class Farm {
       inc_counter("farm.shed");
       last_shed_ = now;
       shed_happened_ = true;
-      if (params_.trace != nullptr) {
-        params_.trace->instant(
-            now, ChromeTraceWriter::kFarmTrack, "shed session",
+      if (params_.obs != nullptr) {
+        params_.obs->note(
+            now, ChromeTraceWriter::kFarmTrack, "farm.shed_session",
             TraceArgs{{"slot", ChromeTraceWriter::num(int64_t{slot})}});
       }
-      note(now, "farm.shed_session",
-           "{\"slot\": " + json_number(int64_t{slot}) + "}");
     }
   }
 
@@ -444,15 +428,13 @@ class Farm {
     result_.max_shed_level =
         std::max(result_.max_shed_level, sm.shed_level);
 
-    if (params_.trace != nullptr) {
-      params_.trace->counter(now, ChromeTraceWriter::kFarmTrack,
-                             "farm active", "sessions",
-                             static_cast<double>(sm.active));
-      params_.trace->counter(now, ChromeTraceWriter::kFarmTrack,
-                             "farm shed level", "level",
-                             static_cast<double>(sm.shed_level));
-      params_.trace->counter(now, ChromeTraceWriter::kFarmTrack,
-                             "farm queue", "frac", sm.queue_frac);
+    if (ChromeTraceWriter* trace = farm_trace()) {
+      trace->counter(now, ChromeTraceWriter::kFarmTrack, "farm active",
+                     "sessions", static_cast<double>(sm.active));
+      trace->counter(now, ChromeTraceWriter::kFarmTrack, "farm shed level",
+                     "level", static_cast<double>(sm.shed_level));
+      trace->counter(now, ChromeTraceWriter::kFarmTrack, "farm queue", "frac",
+                     sm.queue_frac);
     }
     if (params_.registry != nullptr) {
       params_.registry->gauge("farm.active").set(
@@ -461,23 +443,6 @@ class Farm {
       params_.registry->gauge("farm.queue_frac").set(sm.queue_frac);
     }
     if (params_.on_sample) params_.on_sample(now);
-    if (live_snapshotter_ != nullptr) {
-      const MetricsSnapshot& snap = live_snapshotter_->capture();
-      params_.live->publish_snapshot(snap);
-      bool changed = snap.seq == 1;
-      for (const MetricsSnapshot::Entry& e : snap.entries) {
-        if (e.last_changed > live_prev_seq_) {
-          changed = true;
-          break;
-        }
-      }
-      if (changed) {
-        params_.live->publish_event("metrics",
-                                    snap.to_json(live_prev_seq_));
-      }
-      live_prev_seq_ = snap.seq;
-    }
-    if (params_.live_pacer) params_.live_pacer(now);
 
     result_.series.push_back(sm);
   }
@@ -500,20 +465,16 @@ class Farm {
         params_.registry->gauge("farm.ladder.level")
             .set(static_cast<double>(level_int));
       }
-      if (params_.trace != nullptr) {
-        params_.trace->instant(
-            now, ChromeTraceWriter::kFarmTrack,
-            std::string("shed_level ") + to_string(level),
-            TraceArgs{{"from", ChromeTraceWriter::num(
-                                   int64_t{static_cast<int>(prev)})},
-                      {"to", ChromeTraceWriter::num(int64_t{level_int})}});
-        params_.trace->counter(now, ChromeTraceWriter::kFarmTrack,
-                               "farm shed level", "level",
-                               static_cast<double>(level_int));
+      if (params_.obs != nullptr) {
+        params_.obs->note(
+            now, ChromeTraceWriter::kFarmTrack, "farm.ladder.transition",
+            TraceArgs{{"from", ChromeTraceWriter::str(to_string(prev))},
+                      {"to", ChromeTraceWriter::str(to_string(level))}});
       }
-      note(now, "farm.ladder.transition",
-           "{\"from\": " + json_quote(to_string(prev)) +
-               ", \"to\": " + json_quote(to_string(level)) + "}");
+      if (ChromeTraceWriter* trace = farm_trace()) {
+        trace->counter(now, ChromeTraceWriter::kFarmTrack, "farm shed level",
+                       "level", static_cast<double>(level_int));
+      }
 
       const bool freeze = level >= ShedLevel::kFreezeAdds;
       const bool base_only = level >= ShedLevel::kBaseOnly;
@@ -658,13 +619,50 @@ class Farm {
   std::optional<double> rebuffer_ewma_;
   TimePoint last_shed_;
   bool shed_happened_ = false;
-  // Live streaming (created when params.live && params.registry).
-  std::unique_ptr<MetricsSnapshotter> live_snapshotter_;
-  uint64_t live_prev_seq_ = 0;
   FarmResult result_;
 };
 
 }  // namespace
+
+FarmParams farm_preset(std::string_view name) {
+  FarmParams p;
+  if (name == "smoke") {
+    p.slots = 16;
+    p.duration = TimeDelta::seconds(60);
+    p.bottleneck_bw = Rate::kilobytes_per_sec(100);
+    p.stream_layers = 4;
+    p.layer_rate = Rate::kilobytes_per_sec(2.5);
+    p.packet_size = 500;
+    p.arrival_rate_hz = 0.4;
+    p.mean_session = TimeDelta::seconds(25);
+  } else if (name == "churn500") {
+    p.slots = 96;
+    p.duration = TimeDelta::seconds(600);
+    p.bottleneck_bw = Rate::kilobytes_per_sec(400);
+    p.stream_layers = 4;
+    p.layer_rate = Rate::kilobytes_per_sec(2.5);
+    p.packet_size = 500;
+    p.arrival_rate_hz = 0.8;
+    p.mean_session = TimeDelta::seconds(45);
+    p.flash_crowd_at = TimeDelta::seconds(120);
+    p.flash_crowd_arrivals = 40;
+    p.mass_departure_at = TimeDelta::seconds(300);
+    p.mass_departure_fraction = 0.5;
+  } else if (name == "overload") {
+    p.slots = 24;
+    p.duration = TimeDelta::seconds(180);
+    p.bottleneck_bw = Rate::kilobytes_per_sec(50);
+    p.stream_layers = 4;
+    p.layer_rate = Rate::kilobytes_per_sec(2.5);
+    p.packet_size = 500;
+    p.arrival_rate_hz = 0.5;
+    p.mean_session = TimeDelta::seconds(60);
+  } else {
+    throw std::invalid_argument(invalid_choice(
+        "--preset", std::string(name), {"smoke", "churn500", "overload"}));
+  }
+  return p;
+}
 
 FarmResult run_farm(const FarmParams& params) { return Farm(params).run(); }
 

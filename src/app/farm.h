@@ -25,21 +25,22 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/admission.h"
 #include "cc/congestion_controller.h"
 #include "sim/topology.h"
-#include "util/chrome_trace.h"
-#include "util/flightrec.h"
-#include "util/http_sse.h"
 #include "util/metrics_registry.h"
 #include "util/rundiff.h"
 #include "util/sketch.h"
 #include "util/units.h"
 
 namespace qa::app {
+
+class Observability;
 
 struct FarmParams {
   uint64_t seed = 1;
@@ -101,20 +102,18 @@ struct FarmParams {
   // move; final totals are identical to the pre-incremental export.
   MetricsRegistry* registry = nullptr;
 
-  // Optional observability fan-out (all not owned, all may be null):
-  // admission verdicts and shed-ladder rung transitions as instants +
-  // counter track on ChromeTraceWriter::kFarmTrack, flight-recorder notes,
-  // and live SSE events + per-sample snapshot deltas (needs `registry`).
-  ChromeTraceWriter* trace = nullptr;
-  FlightRecorder* flightrec = nullptr;
-  LiveFeed* live = nullptr;
-  // Invoked after each sample's live publish with the sample's sim time;
-  // a tool injects a wall-clock sleeper for real-time pacing.
-  std::function<void(TimePoint)> live_pacer;
-  // Invoked right after each aggregate sample updates the farm.* gauges
-  // (before the live publish), with the sample's sim time. This is the
-  // evaluation-tier hook: qa_slo drives a TimeSeriesRecorder + SloEngine
-  // on the farm's own deterministic sample grid through it.
+  // Optional observability hub (not owned): admission verdicts, shed
+  // evictions and ladder rung transitions become Observability::note()s
+  // on ChromeTraceWriter::kFarmTrack ("farm.admission.<verdict>",
+  // "farm.shed_session", "farm.ladder.transition"), and each sample adds
+  // the farm counter tracks to the hub's trace. The farm attaches nothing
+  // else: pass &obs->registry() as `registry` for its metric rows.
+  Observability* obs = nullptr;
+
+  // Invoked right after each aggregate sample updates the farm.* gauges,
+  // with the sample's sim time. This is the evaluation-tier hook: qa_slo
+  // drives a TimeSeriesRecorder + SloEngine on the farm's own
+  // deterministic sample grid through it.
   std::function<void(TimePoint)> on_sample;
 };
 
@@ -168,6 +167,14 @@ struct FarmResult {
 
   std::vector<FarmSample> series;
 };
+
+// The named scenarios every front end shares (qa_farm, qa_slo, the farm
+// tests): "smoke" (16 slots, 60 s), "churn500" (~500 join attempts with a
+// flash crowd and a mass departure — the determinism acceptance run) and
+// "overload" (offered load well beyond what the quality model admits — the
+// admission-on/off contrast). Throws std::invalid_argument carrying the
+// invalid_choice() diagnostic for any other name.
+FarmParams farm_preset(std::string_view name);
 
 FarmResult run_farm(const FarmParams& params);
 

@@ -2,13 +2,6 @@
 
 namespace qa::app {
 
-FlightRecFlags flightrec_flags(const Flags& flags) {
-  FlightRecFlags f;
-  f.enabled = flags.get_bool("flightrec", true);
-  f.events = static_cast<size_t>(flags.get_int("flightrec-events", 1024));
-  return f;
-}
-
 ObservabilityConfig observability_flags(const Flags& flags,
                                         const std::string& out_dir) {
   ObservabilityConfig cfg;
@@ -17,9 +10,9 @@ ObservabilityConfig observability_flags(const Flags& flags,
   cfg.metrics = flags.get_bool("metrics", true);
   cfg.profile = flags.get_bool("profile", true);
   cfg.journeys = flags.get_bool("journeys", true);
-  const FlightRecFlags fr = flightrec_flags(flags);
-  cfg.flightrec = fr.enabled;
-  cfg.flightrec_events = fr.events;
+  cfg.flightrec = flags.get_bool("flightrec", true);
+  cfg.flightrec_events =
+      static_cast<size_t>(flags.get_int("flightrec-events", 1024));
   return cfg;
 }
 

@@ -1,28 +1,16 @@
-// Shared observability flag parsing for the tools (qa_trace, qa_farm,
-// qa_live): every tool that writes an artifact bundle accepts the same
+// Shared observability flag parsing for the tools (qa_trace, qa_live):
+// every tool that writes an artifact bundle accepts the same
 // --no-trace/--no-metrics/--no-profile/--no-journeys/--no-flightrec
 // switches and the --flightrec-events ring-size knob, parsed here once so
 // the spellings cannot drift between binaries.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 #include "app/observability.h"
 #include "util/flags.h"
 
 namespace qa::app {
-
-// Flight-recorder subset, for tools (qa_farm) that arm a FlightRecorder
-// directly instead of going through Observability.
-struct FlightRecFlags {
-  bool enabled = true;
-  size_t events = 1024;
-};
-
-// Reads --flightrec (default on; --no-flightrec disables) and
-// --flightrec-events N.
-FlightRecFlags flightrec_flags(const Flags& flags);
 
 // Reads the full observability flag set and returns a config rooted at
 // `out_dir`. Flags read: --trace --metrics --profile --journeys

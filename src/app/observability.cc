@@ -109,21 +109,12 @@ void Observability::obs_tick() {
 
 void Observability::on_slo_transition(const SloEngine::Transition& tr,
                                       const SloObjective& obj) {
-  const std::string detail =
-      "{\"objective\": " + json_quote(tr.objective) +
-      ", \"series\": " + json_quote(obj.series) +
-      ", \"fast\": " + json_number(tr.fast_value) +
-      ", \"slow\": " + json_number(tr.slow_value) +
-      ", \"threshold\": " + json_number(obj.threshold) + "}";
-  flightrec_note(tr.t, tr.open ? "slo.open" : "slo.close", detail);
-  live_note(tr.t, tr.open ? "slo.open" : "slo.close", detail);
-  if (trace_) {
-    trace_->instant(
-        tr.t, ChromeTraceWriter::kSloTrack,
-        std::string(tr.open ? "slo_open " : "slo_close ") + tr.objective,
-        TraceArgs{{"fast", ChromeTraceWriter::num(tr.fast_value)},
-                  {"slow", ChromeTraceWriter::num(tr.slow_value)}});
-  }
+  note(tr.t, ChromeTraceWriter::kSloTrack, tr.open ? "slo.open" : "slo.close",
+       TraceArgs{{"objective", ChromeTraceWriter::str(tr.objective)},
+                 {"series", ChromeTraceWriter::str(obj.series)},
+                 {"fast", ChromeTraceWriter::num(tr.fast_value)},
+                 {"slow", ChromeTraceWriter::num(tr.slow_value)},
+                 {"threshold", ChromeTraceWriter::num(obj.threshold)}});
 }
 
 void Observability::live_tick() {
@@ -166,36 +157,39 @@ void Observability::attach_link(sim::Link& link, const std::string& name) {
     return static_cast<double>(link.queue().bytes());
   });
 
+  // Track names built once here, not per packet event: "queue bottleneck"
+  // is past the small-string buffer, so a per-event concatenation would
+  // heap-allocate on every enqueue and tx while tracing.
+  const std::string queue_track = "queue " + name;
+  const std::string drop_name = "queue_drop " + name;
   subs_.push_back(link.on_enqueue().subscribe_scoped(
-      [this, &link, &enq, name](const sim::Packet&) {
+      [this, &link, &enq, queue_track](const sim::Packet&) {
         enq.inc();
         if (trace_) {
           trace_->counter(sched_ ? sched_->now() : TimePoint::origin(),
-                          ChromeTraceWriter::kLinkTrack, "queue " + name,
-                          "bytes",
+                          ChromeTraceWriter::kLinkTrack, queue_track, "bytes",
                           static_cast<double>(link.queue().bytes()));
         }
       }));
   subs_.push_back(link.on_queue_drop().subscribe_scoped(
-      [this, &drop, name](const sim::Packet& p) {
+      [this, &drop, drop_name](const sim::Packet& p) {
         drop.inc();
         if (trace_) {
           trace_->instant(
               sched_ ? sched_->now() : TimePoint::origin(),
-              ChromeTraceWriter::kLinkTrack, "queue_drop " + name,
+              ChromeTraceWriter::kLinkTrack, drop_name,
               TraceArgs{{"flow", ChromeTraceWriter::num(int64_t{p.flow_id})},
                         {"bytes",
                          ChromeTraceWriter::num(int64_t{p.size_bytes})}});
         }
       }));
   subs_.push_back(link.on_tx().subscribe_scoped(
-      [this, &link, &tx, &tx_bytes, name](const sim::Packet& p) {
+      [this, &link, &tx, &tx_bytes, queue_track](const sim::Packet& p) {
         tx.inc();
         tx_bytes.inc(p.size_bytes);
         if (trace_) {
           trace_->counter(sched_ ? sched_->now() : TimePoint::origin(),
-                          ChromeTraceWriter::kLinkTrack, "queue " + name,
-                          "bytes",
+                          ChromeTraceWriter::kLinkTrack, queue_track, "bytes",
                           static_cast<double>(link.queue().bytes()));
         }
       }));
@@ -220,26 +214,20 @@ void Observability::attach_controller(cc::CongestionController& src) {
   }
 
   subs_.push_back(src.on_rate_change().subscribe_scoped(
-      [this, prefix, &rate_changes, &rate_hist](TimePoint t, Rate r) {
+      [this, rate_track = prefix + " rate", &rate_changes,
+       &rate_hist](TimePoint t, Rate r) {
         rate_changes.inc();
         rate_hist.observe(r.bps());
         if (trace_) {
-          trace_->counter(t, ChromeTraceWriter::kTransportTrack,
-                          prefix + " rate", "bytes_per_sec", r.bps());
+          trace_->counter(t, ChromeTraceWriter::kTransportTrack, rate_track,
+                          "bytes_per_sec", r.bps());
         }
       }));
   subs_.push_back(src.on_backoff().subscribe_scoped(
-      [this, prefix, &backoffs](TimePoint t, Rate r) {
+      [this, kind = prefix + ".backoff", &backoffs](TimePoint t, Rate r) {
         backoffs.inc();
-        flightrec_note(t, prefix + ".backoff",
-                       "{\"rate_post\":" + json_number(r.bps()) + "}");
-        live_note(t, prefix + ".backoff",
-                  "{\"rate_post\": " + json_number(r.bps()) + "}");
-        if (trace_) {
-          trace_->instant(
-              t, ChromeTraceWriter::kTransportTrack, "backoff",
-              TraceArgs{{"rate_post", ChromeTraceWriter::num(r.bps())}});
-        }
+        note(t, ChromeTraceWriter::kTransportTrack, kind,
+             TraceArgs{{"rate_post", ChromeTraceWriter::num(r.bps())}});
       }));
   subs_.push_back(src.on_timeout_loss().subscribe_scoped(
       [this, &timeout_losses](TimePoint t, const sim::Packet& p) {
@@ -252,18 +240,11 @@ void Observability::attach_controller(cc::CongestionController& src) {
         }
       }));
   subs_.push_back(src.on_quiescence().subscribe_scoped(
-      [this, prefix, &quiescence](TimePoint t, bool active) {
+      [this, enter = prefix + ".quiescence_enter",
+       exit = prefix + ".quiescence_exit", &quiescence](TimePoint t,
+                                                        bool active) {
         if (active) quiescence.inc();
-        flightrec_note(t, active ? prefix + ".quiescence_enter"
-                                 : prefix + ".quiescence_exit",
-                       "{}");
-        live_note(t, active ? prefix + ".quiescence_enter"
-                            : prefix + ".quiescence_exit",
-                  "{}");
-        if (trace_) {
-          trace_->instant(t, ChromeTraceWriter::kTransportTrack,
-                          active ? "quiescence_enter" : "quiescence_exit");
-        }
+        note(t, ChromeTraceWriter::kTransportTrack, active ? enter : exit);
       }));
 }
 
@@ -290,36 +271,20 @@ void Observability::attach_adapter(core::QualityAdapter& adapter) {
 
   subs_.push_back(adapter.on_drop().subscribe_scoped(
       [this](const core::DropEvent& e) {
-        flightrec_note(e.time, "adapter.layer_drop",
-                       "{\"layer\":" + json_number(int64_t{e.layer}) + "}");
-        live_note(e.time, "adapter.layer_drop",
-                  "{\"layer\": " + json_number(int64_t{e.layer}) + "}");
-        if (!trace_) return;
-        trace_->instant(
-            e.time, ChromeTraceWriter::kAdapterTrack, "layer_drop",
-            TraceArgs{
-                {"layer", ChromeTraceWriter::num(int64_t{e.layer})},
-                {"dropped_buf", ChromeTraceWriter::num(e.dropped_buf)},
-                {"total_buf", ChromeTraceWriter::num(e.total_buf)},
-                {"required_buf", ChromeTraceWriter::num(e.required_buf)},
-                {"poor_distribution",
-                 e.poor_distribution ? std::string("true")
-                                     : std::string("false")}});
+        note(e.time, ChromeTraceWriter::kAdapterTrack, "adapter.layer_drop",
+             TraceArgs{
+                 {"layer", ChromeTraceWriter::num(int64_t{e.layer})},
+                 {"dropped_buf", ChromeTraceWriter::num(e.dropped_buf)},
+                 {"total_buf", ChromeTraceWriter::num(e.total_buf)},
+                 {"required_buf", ChromeTraceWriter::num(e.required_buf)},
+                 {"poor_distribution",
+                  e.poor_distribution ? "true" : "false"}});
       }));
   subs_.push_back(
       adapter.on_add().subscribe_scoped([this](const core::AddEvent& e) {
-        flightrec_note(
-            e.time, "adapter.layer_add",
-            "{\"active_layers\":" + json_number(int64_t{e.new_active_layers}) +
-                "}");
-        live_note(e.time, "adapter.layer_add",
-                  "{\"active_layers\": " +
-                      json_number(int64_t{e.new_active_layers}) + "}");
-        if (!trace_) return;
-        trace_->instant(e.time, ChromeTraceWriter::kAdapterTrack, "layer_add",
-                        TraceArgs{{"active_layers",
-                                   ChromeTraceWriter::num(
-                                       int64_t{e.new_active_layers})}});
+        note(e.time, ChromeTraceWriter::kAdapterTrack, "adapter.layer_add",
+             TraceArgs{{"active_layers", ChromeTraceWriter::num(int64_t{
+                                             e.new_active_layers})}});
       }));
   subs_.push_back(adapter.on_allocation().subscribe_scoped(
       [this, &padding, &media,
@@ -351,13 +316,8 @@ void Observability::attach_client(VideoClient& client) {
 
   subs_.push_back(client.on_rebuffer().subscribe_scoped(
       [this](TimePoint t, bool paused) {
-        flightrec_note(
-            t, paused ? "client.rebuffer_start" : "client.rebuffer_end", "{}");
-        live_note(t, paused ? "client.rebuffer_start" : "client.rebuffer_end",
-                  "{}");
-        if (!trace_) return;
-        trace_->instant(t, ChromeTraceWriter::kClientTrack,
-                        paused ? "rebuffer_start" : "rebuffer_end");
+        note(t, ChromeTraceWriter::kClientTrack,
+             paused ? "client.rebuffer_start" : "client.rebuffer_end");
       }));
   subs_.push_back(client.on_buffer_level().subscribe_scoped(
       [this](TimePoint t, double bytes) {
@@ -384,31 +344,30 @@ void Observability::attach_fault_injector(sim::FaultInjector& inj) {
       [this, &faults](const sim::FaultEvent& ev) {
         faults.inc();
         const char* kind = sim::to_string(ev.kind);
-        const std::string detail = "{\"fault\": " + json_quote(kind) +
-                                   ", \"value\": " + json_number(ev.value) +
-                                   "}";
-        flightrec_note(ev.at, std::string("fault.") + kind, detail);
-        live_note(ev.at, std::string("fault.") + kind, detail);
-        if (trace_) {
-          trace_->instant(
-              ev.at, ChromeTraceWriter::kLinkTrack,
-              std::string("fault ") + kind,
-              TraceArgs{{"value", ChromeTraceWriter::num(ev.value)}});
-        }
+        note(ev.at, ChromeTraceWriter::kLinkTrack,
+             std::string("fault.") + kind,
+             TraceArgs{{"fault", ChromeTraceWriter::str(kind)},
+                       {"value", ChromeTraceWriter::num(ev.value)}});
       }));
 }
 
-void Observability::flightrec_note(TimePoint t, std::string_view kind,
-                                   std::string detail_json) {
-  if (flightrec_) flightrec_->note(t, kind, std::move(detail_json));
-}
-
-void Observability::live_note(TimePoint t, std::string_view kind,
-                              const std::string& detail_json) {
-  if (cfg_.live.feed == nullptr) return;
-  std::string data = "{\"t\": " + json_number(t.sec()) + ", \"kind\": " +
-                     json_quote(kind) + ", \"detail\": " + detail_json + "}";
-  cfg_.live.feed->publish_event("note", data);
+void Observability::note(TimePoint t, int track, std::string_view kind,
+                         const TraceArgs& fields) {
+  if (trace_) trace_->instant(t, track, kind, fields);
+  if (!flightrec_ && cfg_.live.feed == nullptr) return;
+  std::string detail = "{";
+  for (const auto& [key, value] : fields) {
+    if (detail.size() > 1) detail += ", ";
+    detail += json_quote(key) + ": " + value;
+  }
+  detail += "}";
+  if (cfg_.live.feed != nullptr) {
+    const std::string data = "{\"t\": " + json_number(t.sec()) +
+                             ", \"kind\": " + json_quote(kind) +
+                             ", \"detail\": " + detail + "}";
+    cfg_.live.feed->publish_event("note", data);
+  }
+  if (flightrec_) flightrec_->note(t, kind, std::move(detail));
 }
 
 void Observability::on_journey_span(const JourneySpan& span) {

@@ -16,10 +16,10 @@
 #pragma once
 
 #include <memory>
-#include <string>
-#include <vector>
-
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "cc/congestion_controller.h"
 #include "core/quality_adapter.h"
@@ -91,8 +91,7 @@ struct ObservabilityConfig {
   // so the live feed's delta sequence is untouched). When `slo` is also
   // set, the engine is evaluated on the same cadence grid — the grid is
   // part of the alert timeline's determinism contract (DESIGN.md §16) —
-  // and every alert open/close fans out to the flight recorder, a
-  // Chrome-trace instant on kSloTrack, and the live note feed. Neither
+  // and every alert open/close is a note() on kSloTrack. Neither
   // pointer is owned; both must outlive finish().
   TimeSeriesRecorder* recorder = nullptr;
   SloEngine* slo = nullptr;
@@ -116,12 +115,22 @@ class Observability {
   // Null when the flight recorder is disabled.
   FlightRecorder* flightrec() { return flightrec_.get(); }
 
+  // Records one control-loop transition (backoff, layer add/drop,
+  // rebuffer, fault, SLO alert, farm admission/ladder decision) in every
+  // enabled sink from one field list: a trace instant named `kind` on
+  // `track` with `fields` as its args, and the same fields as one detail
+  // object ({"key": value, ...}) in the flight recorder and in the live
+  // feed's SSE "note" event ({"t", "kind", "detail"}). `fields` values are
+  // preformatted JSON tokens (ChromeTraceWriter::num/str).
+  void note(TimePoint t, int track, std::string_view kind,
+            const ChromeTraceWriter::Args& fields = {});
+
   // --- Attach points (call during scenario setup). ------------------------
   void attach_scheduler(sim::Scheduler& sched);
   // `name` keys the link's metrics ("link.<name>.*") and counter tracks.
   void attach_link(sim::Link& link, const std::string& name);
   // Wires a congestion controller's trace points into counters, the rate
-  // histogram, flight-recorder notes, and live notes. Metric rows are
+  // histogram, and backoff/quiescence notes. Metric rows are
   // prefixed with the controller's canonical name — "rap.*" for the RAP
   // backend (the historic rows every golden pins), "tfrc.*"/"nada.*" for
   // the others.
@@ -131,9 +140,8 @@ class Observability {
   // Convenience: controller + adapter + client + rebuffer log of one
   // session.
   void attach_session(Session& session);
-  // Fault timeline: counts fault activations ("fault.events"), records
-  // them in the flight recorder, draws trace instants on the link track,
-  // and streams them as live notes.
+  // Fault timeline: counts fault activations ("fault.events") and notes
+  // each one ("fault.<kind>") on the link track.
   void attach_fault_injector(sim::FaultInjector& inj);
 
   // Flushes every artifact (metrics snapshot as CSV and JSON, manifest,
@@ -144,17 +152,11 @@ class Observability {
 
  private:
   void on_journey_span(const JourneySpan& span);
-  void flightrec_note(TimePoint t, std::string_view kind,
-                      std::string detail_json);
-  // Publishes an SSE "note" event ({"t", "kind", "detail"}) to the live
-  // feed; no-op without one.
-  void live_note(TimePoint t, std::string_view kind,
-                 const std::string& detail_json);
   // One cadence tick: capture, publish snapshot + delta, pace, reschedule.
   void live_tick();
   // One evaluation tick: recorder sample + SLO evaluate, reschedule.
   void obs_tick();
-  // Alert open/close fan-out (flight recorder, trace instant, live note).
+  // Alert open/close note ("slo.open"/"slo.close") on kSloTrack.
   void on_slo_transition(const SloEngine::Transition& tr,
                          const SloObjective& obj);
 

@@ -8,63 +8,35 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
+
 #include "util/metrics_registry.h"
 
 namespace qa::app {
 namespace {
 
-FarmParams smoke_params(uint64_t seed) {
-  FarmParams p;
+// A shared preset (smoke / churn500 / overload, see farm_preset) with the
+// test's seed.
+FarmParams preset(std::string_view name, uint64_t seed) {
+  FarmParams p = farm_preset(name);
   p.seed = seed;
-  p.slots = 16;
-  p.duration = TimeDelta::seconds(60);
-  p.bottleneck_bw = Rate::kilobytes_per_sec(100);
-  p.stream_layers = 4;
-  p.layer_rate = Rate::kilobytes_per_sec(2.5);
-  p.packet_size = 500;
-  p.arrival_rate_hz = 0.4;
-  p.mean_session = TimeDelta::seconds(25);
   return p;
 }
 
-// The qa_farm `churn500` preset: ~500 Poisson arrivals plus a flash crowd
-// and a mass departure — the determinism acceptance scenario.
-FarmParams churn500_params(uint64_t seed) {
-  FarmParams p;
-  p.seed = seed;
-  p.slots = 96;
-  p.duration = TimeDelta::seconds(600);
-  p.bottleneck_bw = Rate::kilobytes_per_sec(400);
-  p.stream_layers = 4;
-  p.layer_rate = Rate::kilobytes_per_sec(2.5);
-  p.packet_size = 500;
-  p.arrival_rate_hz = 0.8;
-  p.mean_session = TimeDelta::seconds(45);
-  p.flash_crowd_at = TimeDelta::seconds(120);
-  p.flash_crowd_arrivals = 40;
-  p.mass_departure_at = TimeDelta::seconds(300);
-  p.mass_departure_fraction = 0.5;
-  return p;
-}
-
-// The qa_farm `overload` preset: offered load well beyond what the quality
-// model admits.
-FarmParams overload_params(uint64_t seed) {
-  FarmParams p;
-  p.seed = seed;
-  p.slots = 24;
-  p.duration = TimeDelta::seconds(180);
-  p.bottleneck_bw = Rate::kilobytes_per_sec(50);
-  p.stream_layers = 4;
-  p.layer_rate = Rate::kilobytes_per_sec(2.5);
-  p.packet_size = 500;
-  p.arrival_rate_hz = 0.5;
-  p.mean_session = TimeDelta::seconds(60);
-  return p;
+TEST(Farm, UnknownPresetNamesTheAlternatives) {
+  try {
+    farm_preset("fig99");
+    FAIL() << "unknown preset accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("churn500"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Farm, SmokeRunIsSane) {
-  const FarmResult r = run_farm(smoke_params(3));
+  const FarmResult r = run_farm(preset("smoke", 3));
   EXPECT_GT(r.arrivals, 0);
   EXPECT_GT(r.admitted, 0);
   EXPECT_GT(r.total_packets_received, 0);
@@ -80,8 +52,8 @@ TEST(Farm, SmokeRunIsSane) {
 }
 
 TEST(Farm, SameSeedChurn500IsDigestIdentical) {
-  const FarmResult a = run_farm(churn500_params(1));
-  const FarmResult b = run_farm(churn500_params(1));
+  const FarmResult a = run_farm(preset("churn500", 1));
+  const FarmResult b = run_farm(preset("churn500", 1));
   // The scenario really is the 500-arrival acceptance run.
   EXPECT_GE(a.arrivals, 500);
   EXPECT_EQ(farm_digest(a), farm_digest(b));
@@ -94,14 +66,14 @@ TEST(Farm, SameSeedChurn500IsDigestIdentical) {
 }
 
 TEST(Farm, DifferentSeedsDiverge) {
-  const FarmResult a = run_farm(smoke_params(1));
-  const FarmResult b = run_farm(smoke_params(2));
+  const FarmResult a = run_farm(preset("smoke", 1));
+  const FarmResult b = run_farm(preset("smoke", 2));
   EXPECT_NE(farm_digest(a), farm_digest(b));
 }
 
 TEST(Farm, OverloadAdmissionBeatsNoAdmission) {
-  FarmParams on = overload_params(1);
-  FarmParams off = overload_params(1);
+  FarmParams on = preset("overload", 1);
+  FarmParams off = preset("overload", 1);
   off.admission_enabled = false;
 
   const FarmResult r_on = run_farm(on);
@@ -121,13 +93,13 @@ TEST(Farm, OverloadAdmissionBeatsNoAdmission) {
 
 TEST(Farm, RegistryExportSizeIsIndependentOfChurnVolume) {
   MetricsRegistry small_reg;
-  FarmParams small = smoke_params(5);
+  FarmParams small = preset("smoke", 5);
   small.duration = TimeDelta::seconds(30);
   small.registry = &small_reg;
   const FarmResult r_small = run_farm(small);
 
   MetricsRegistry big_reg;
-  FarmParams big = smoke_params(5);
+  FarmParams big = preset("smoke", 5);
   big.duration = TimeDelta::seconds(120);
   big.arrival_rate_hz = 1.0;
   // Fast churn: many more distinct sessions.
@@ -143,7 +115,7 @@ TEST(Farm, RegistryExportSizeIsIndependentOfChurnVolume) {
 }
 
 TEST(Farm, SeriesCsvRoundTrips) {
-  const FarmResult r = run_farm(smoke_params(3));
+  const FarmResult r = run_farm(preset("smoke", 3));
   const std::string path = "farm_test_series.csv";
   write_farm_series_csv(r, path);
   std::FILE* f = std::fopen(path.c_str(), "rb");

@@ -14,16 +14,11 @@
 // with the same seed and parameters print the same value.
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <string>
 
 #include "app/farm.h"
-#include "app/obs_flags.h"
-#include "util/chrome_trace.h"
+#include "app/observability.h"
 #include "util/flags.h"
-#include "util/flightrec.h"
-#include "util/manifest.h"
-#include "util/metrics_registry.h"
 
 using namespace qa;
 using namespace qa::app;
@@ -57,58 +52,12 @@ void usage() {
       "  --no-ladder           disable the load-shedding ladder\n"
       "  --print-digest        print the canonical run digest\n"
       "  --trace               also write trace.json (admission verdicts,\n"
-      "                        shed-ladder rung, farm counter tracks)\n"
+      "                        shed-ladder rung, farm counter tracks);\n"
+      "                        needs --out-dir\n"
       "  --flightrec-events N  flight-recorder ring size (default 1024)\n"
       "  --no-flightrec        skip the crash-time flight recorder\n"
       "  --out-dir DIR         write farm.csv, metrics.{csv,json}, "
       "manifest.json\n");
-}
-
-FarmParams preset_params(const std::string& preset) {
-  FarmParams p;
-  if (preset == "smoke") {
-    p.slots = 16;
-    p.duration = TimeDelta::seconds(60);
-    p.bottleneck_bw = Rate::kilobytes_per_sec(100);
-    p.stream_layers = 4;
-    p.layer_rate = Rate::kilobytes_per_sec(2.5);
-    p.packet_size = 500;
-    p.arrival_rate_hz = 0.4;
-    p.mean_session = TimeDelta::seconds(25);
-  } else if (preset == "churn500") {
-    // ~500 join attempts over the run: sized for the determinism
-    // acceptance check (same seed => digest-identical).
-    p.slots = 96;
-    p.duration = TimeDelta::seconds(600);
-    p.bottleneck_bw = Rate::kilobytes_per_sec(400);
-    p.stream_layers = 4;
-    p.layer_rate = Rate::kilobytes_per_sec(2.5);
-    p.packet_size = 500;
-    p.arrival_rate_hz = 0.8;
-    p.mean_session = TimeDelta::seconds(45);
-    p.flash_crowd_at = TimeDelta::seconds(120);
-    p.flash_crowd_arrivals = 40;
-    p.mass_departure_at = TimeDelta::seconds(300);
-    p.mass_departure_fraction = 0.5;
-  } else if (preset == "overload") {
-    // Offered load well beyond what the quality model admits: the
-    // admission-on/off contrast experiment.
-    p.slots = 24;
-    p.duration = TimeDelta::seconds(180);
-    p.bottleneck_bw = Rate::kilobytes_per_sec(50);
-    p.stream_layers = 4;
-    p.layer_rate = Rate::kilobytes_per_sec(2.5);
-    p.packet_size = 500;
-    p.arrival_rate_hz = 0.5;
-    p.mean_session = TimeDelta::seconds(60);
-  } else {
-    std::fprintf(stderr, "qa_farm: %s\n",
-                 invalid_choice("--preset", preset,
-                                {"smoke", "churn500", "overload"})
-                     .c_str());
-    std::exit(1);
-  }
-  return p;
 }
 
 }  // namespace
@@ -120,14 +69,15 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  FarmParams p = preset_params(flags.get_or("preset", "smoke"));
-  if (flags.has("backend")) {
-    try {
+  FarmParams p;
+  try {
+    p = farm_preset(flags.get_or("preset", "smoke"));
+    if (flags.has("backend")) {
       p.backend = cc::parse_backend(flags.get_or("backend", "rap"));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "qa_farm: %s\n", e.what());
-      return 1;
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "qa_farm: %s\n", e.what());
+    return 1;
   }
   p.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
   p.slots = static_cast<int>(flags.get_int("slots", p.slots));
@@ -161,9 +111,18 @@ int main(int argc, char** argv) {
   p.admission_enabled = !flags.get_bool("no-admission", false);
   p.ladder_enabled = !flags.get_bool("no-ladder", false);
   const bool print_digest = flags.get_bool("print-digest", false);
-  const bool want_trace = flags.get_bool("trace", false);
-  const FlightRecFlags fr = flightrec_flags(flags);
-  const std::string out_dir = flags.get_or("out-dir", "");
+  // The hub carries the farm's metric rows, flight recorder, notes and
+  // (with --trace) trace.json. No profiler or journeys: the farm attaches
+  // neither, so the artifact rows stay the farm's own.
+  ObservabilityConfig ocfg;
+  ocfg.out_dir = flags.get_or("out-dir", "");
+  ocfg.trace = flags.get_bool("trace", false);
+  ocfg.profile = false;
+  ocfg.journeys = false;
+  ocfg.flightrec = flags.get_bool("flightrec", true);
+  ocfg.flightrec_events =
+      static_cast<size_t>(flags.get_int("flightrec-events", 1024));
+  const std::string& out_dir = ocfg.out_dir;
 
   const auto unused = flags.unused();
   if (!unused.empty()) {
@@ -173,29 +132,20 @@ int main(int argc, char** argv) {
     usage();
     return 1;
   }
+  if (ocfg.trace && out_dir.empty()) {
+    std::fprintf(stderr, "qa_farm: --trace needs --out-dir\n");
+    usage();
+    return 1;
+  }
 
-  MetricsRegistry registry;
-  std::unique_ptr<FlightRecorder> flightrec;
-  std::unique_ptr<ChromeTraceWriter> trace;
+  if (!out_dir.empty()) std::filesystem::create_directories(out_dir);
+  Observability obs(ocfg);
   if (!out_dir.empty()) {
-    std::filesystem::create_directories(out_dir);
-    p.registry = &registry;
-    if (fr.enabled) {
-      flightrec = std::make_unique<FlightRecorder>(fr.events);
-      flightrec->arm_crash_dump(out_dir + "/flightrec.jsonl");
-      p.flightrec = flightrec.get();
-    }
-    if (want_trace) {
-      trace = std::make_unique<ChromeTraceWriter>(out_dir + "/trace.json");
-      p.trace = trace.get();
-    }
+    p.registry = &obs.registry();
+    p.obs = &obs;
   }
 
   const FarmResult r = run_farm(p);
-
-  // A run that finished cleanly needs no crash dump; the trace is complete.
-  if (flightrec) flightrec->disarm();
-  if (trace) trace->close();
 
   std::printf(
       "farm: %lld arrivals -> %lld admitted (%lld base-only), %lld rejected "
@@ -219,9 +169,7 @@ int main(int argc, char** argv) {
 
   if (!out_dir.empty()) {
     write_farm_series_csv(r, out_dir + "/farm.csv");
-    registry.write_csv(out_dir + "/metrics.csv");
-    registry.write_json(out_dir + "/metrics.json");
-    RunManifest manifest;
+    RunManifest& manifest = obs.manifest();
     manifest.set("tool", "qa_farm");
     manifest.set_args(argc, argv);
     manifest.set_int("seed", static_cast<int64_t>(p.seed));
@@ -232,13 +180,13 @@ int main(int argc, char** argv) {
     manifest.set_int("ladder_enabled", p.ladder_enabled ? 1 : 0);
     manifest.set_int("arrivals", r.arrivals);
     manifest.set_int("oscillation_events", r.oscillation_events);
-    if (flightrec) {
-      manifest.set("flightrec_path", out_dir + "/flightrec.jsonl");
-      manifest.set_int("flightrec_events", static_cast<int64_t>(fr.events));
+    if (obs.trace() != nullptr) {
+      manifest.set("trace_path", out_dir + "/trace.json");
     }
-    if (trace) manifest.set("trace_path", out_dir + "/trace.json");
-    manifest.write_json(out_dir + "/manifest.json");
   }
+  // Writes metrics.{csv,json}, manifest.json and trace.json, and disarms
+  // the crash dump: a run that finished cleanly needs none.
+  obs.finish();
   if (print_digest) {
     std::printf("digest: %016llx\n",
                 static_cast<unsigned long long>(farm_digest(r)));

@@ -153,48 +153,6 @@ GateResult finish_gate(const SloEngine& engine, const TimeSeriesRecorder& rec,
   return GateResult{engine.breached(), engine.timeline_digest()};
 }
 
-// Mirrors the qa_farm presets (tools/qa_farm.cc) so "qa_slo --preset
-// churn500" gates the same scenario qa_farm measures.
-FarmParams farm_preset(const std::string& preset) {
-  FarmParams p;
-  if (preset == "smoke") {
-    p.slots = 16;
-    p.duration = TimeDelta::seconds(60);
-    p.bottleneck_bw = Rate::kilobytes_per_sec(100);
-    p.stream_layers = 4;
-    p.layer_rate = Rate::kilobytes_per_sec(2.5);
-    p.packet_size = 500;
-    p.arrival_rate_hz = 0.4;
-    p.mean_session = TimeDelta::seconds(25);
-  } else if (preset == "churn500") {
-    p.slots = 96;
-    p.duration = TimeDelta::seconds(600);
-    p.bottleneck_bw = Rate::kilobytes_per_sec(400);
-    p.stream_layers = 4;
-    p.layer_rate = Rate::kilobytes_per_sec(2.5);
-    p.packet_size = 500;
-    p.arrival_rate_hz = 0.8;
-    p.mean_session = TimeDelta::seconds(45);
-    p.flash_crowd_at = TimeDelta::seconds(120);
-    p.flash_crowd_arrivals = 40;
-    p.mass_departure_at = TimeDelta::seconds(300);
-    p.mass_departure_fraction = 0.5;
-  } else if (preset == "overload") {
-    p.slots = 24;
-    p.duration = TimeDelta::seconds(180);
-    p.bottleneck_bw = Rate::kilobytes_per_sec(50);
-    p.stream_layers = 4;
-    p.layer_rate = Rate::kilobytes_per_sec(2.5);
-    p.packet_size = 500;
-    p.arrival_rate_hz = 0.5;
-    p.mean_session = TimeDelta::seconds(60);
-  } else {
-    throw std::runtime_error(
-        invalid_choice("--preset", preset, {"smoke", "churn500", "overload"}));
-  }
-  return p;
-}
-
 GateResult run_farm_mode(const Flags& flags,
                          const std::vector<SloObjective>& objectives,
                          const std::string& spec_text,
