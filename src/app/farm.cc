@@ -21,7 +21,6 @@ namespace qa::app {
 
 namespace {
 
-using TraceArgs = ChromeTraceWriter::Args;
 
 // The farm run engine. One instance per run_farm call; everything hangs off
 // the one Scheduler inside net_, so the whole farm — churn, sampling,
@@ -328,7 +327,7 @@ class Farm {
       if (params_.obs != nullptr) {
         params_.obs->note(
             now, ChromeTraceWriter::kFarmTrack, "farm.shed_session",
-            TraceArgs{{"slot", ChromeTraceWriter::num(int64_t{slot})}});
+            {{"slot", int64_t{slot}}});
       }
     }
   }
@@ -468,8 +467,7 @@ class Farm {
       if (params_.obs != nullptr) {
         params_.obs->note(
             now, ChromeTraceWriter::kFarmTrack, "farm.ladder.transition",
-            TraceArgs{{"from", ChromeTraceWriter::str(to_string(prev))},
-                      {"to", ChromeTraceWriter::str(to_string(level))}});
+            {{"from", to_string(prev)}, {"to", to_string(level)}});
       }
       if (ChromeTraceWriter* trace = farm_trace()) {
         trace->counter(now, ChromeTraceWriter::kFarmTrack, "farm shed level",

@@ -9,7 +9,6 @@
 namespace qa::app {
 
 using sim::EventCategory;
-using TraceArgs = ChromeTraceWriter::Args;
 
 Observability::Observability(ObservabilityConfig cfg) : cfg_(std::move(cfg)) {
   if (!cfg_.out_dir.empty() && cfg_.trace) {
@@ -43,7 +42,8 @@ Observability::Observability(ObservabilityConfig cfg) : cfg_(std::move(cfg)) {
         [this](const JourneySpan& span) { on_journey_span(span); }));
   }
   if (cfg_.flightrec) {
-    flightrec_ = std::make_unique<FlightRecorder>(cfg_.flightrec_events);
+    flightrec_ = std::make_unique<FlightRecorder>(cfg_.flightrec_events,
+                                                  &journeys_);
     if (!cfg_.out_dir.empty()) {
       const std::string path = cfg_.out_dir + "/flightrec.jsonl";
       flightrec_->arm_crash_dump(path);
@@ -54,7 +54,15 @@ Observability::Observability(ObservabilityConfig cfg) : cfg_(std::move(cfg)) {
   }
 }
 
-Observability::~Observability() { finish(); }
+Observability::~Observability() {
+  // finish() throws when an artifact write fails; a destructor must not
+  // (that would terminate the process), so the backstop logs instead.
+  try {
+    finish();
+  } catch (const std::exception& e) {
+    QA_LOG(Error) << "observability finish failed: " << e.what();
+  }
+}
 
 void Observability::attach_scheduler(sim::Scheduler& sched) {
   sched_ = &sched;
@@ -80,10 +88,9 @@ void Observability::attach_scheduler(sim::Scheduler& sched) {
     // measured wall cost rides as an argument.
     subs_.push_back(sched.on_dispatch().subscribe_scoped(
         [this](const sim::DispatchRecord& rec) {
-          trace_->span_begin(
-              rec.at, ChromeTraceWriter::kSchedulerTrack,
-              sim::event_category_name(rec.category),
-              TraceArgs{{"wall_ns", ChromeTraceWriter::num(rec.wall_ns)}});
+          trace_->span_begin(rec.at, ChromeTraceWriter::kSchedulerTrack,
+                             sim::event_category_name(rec.category),
+                             {{"wall_ns", rec.wall_ns}});
           trace_->span_end(rec.at, ChromeTraceWriter::kSchedulerTrack);
         }));
   }
@@ -110,11 +117,11 @@ void Observability::obs_tick() {
 void Observability::on_slo_transition(const SloEngine::Transition& tr,
                                       const SloObjective& obj) {
   note(tr.t, ChromeTraceWriter::kSloTrack, tr.open ? "slo.open" : "slo.close",
-       TraceArgs{{"objective", ChromeTraceWriter::str(tr.objective)},
-                 {"series", ChromeTraceWriter::str(obj.series)},
-                 {"fast", ChromeTraceWriter::num(tr.fast_value)},
-                 {"slow", ChromeTraceWriter::num(tr.slow_value)},
-                 {"threshold", ChromeTraceWriter::num(obj.threshold)}});
+       {{"objective", tr.objective},
+        {"series", obj.series},
+        {"fast", tr.fast_value},
+        {"slow", tr.slow_value},
+        {"threshold", obj.threshold}});
 }
 
 void Observability::live_tick() {
@@ -175,12 +182,10 @@ void Observability::attach_link(sim::Link& link, const std::string& name) {
       [this, &drop, drop_name](const sim::Packet& p) {
         drop.inc();
         if (trace_) {
-          trace_->instant(
-              sched_ ? sched_->now() : TimePoint::origin(),
-              ChromeTraceWriter::kLinkTrack, drop_name,
-              TraceArgs{{"flow", ChromeTraceWriter::num(int64_t{p.flow_id})},
-                        {"bytes",
-                         ChromeTraceWriter::num(int64_t{p.size_bytes})}});
+          trace_->instant(sched_ ? sched_->now() : TimePoint::origin(),
+                          ChromeTraceWriter::kLinkTrack, drop_name,
+                          {{"flow", int64_t{p.flow_id}},
+                           {"bytes", int64_t{p.size_bytes}}});
         }
       }));
   subs_.push_back(link.on_tx().subscribe_scoped(
@@ -227,16 +232,15 @@ void Observability::attach_controller(cc::CongestionController& src) {
       [this, kind = prefix + ".backoff", &backoffs](TimePoint t, Rate r) {
         backoffs.inc();
         note(t, ChromeTraceWriter::kTransportTrack, kind,
-             TraceArgs{{"rate_post", ChromeTraceWriter::num(r.bps())}});
+             {{"rate_post", r.bps()}});
       }));
   subs_.push_back(src.on_timeout_loss().subscribe_scoped(
       [this, &timeout_losses](TimePoint t, const sim::Packet& p) {
         timeout_losses.inc();
         if (trace_) {
-          trace_->instant(
-              t, ChromeTraceWriter::kTransportTrack, "timeout_loss",
-              TraceArgs{{"seq", ChromeTraceWriter::num(p.seq)},
-                        {"layer", ChromeTraceWriter::num(int64_t{p.layer})}});
+          trace_->instant(t, ChromeTraceWriter::kTransportTrack,
+                          "timeout_loss",
+                          {{"seq", p.seq}, {"layer", int64_t{p.layer}}});
         }
       }));
   subs_.push_back(src.on_quiescence().subscribe_scoped(
@@ -272,19 +276,16 @@ void Observability::attach_adapter(core::QualityAdapter& adapter) {
   subs_.push_back(adapter.on_drop().subscribe_scoped(
       [this](const core::DropEvent& e) {
         note(e.time, ChromeTraceWriter::kAdapterTrack, "adapter.layer_drop",
-             TraceArgs{
-                 {"layer", ChromeTraceWriter::num(int64_t{e.layer})},
-                 {"dropped_buf", ChromeTraceWriter::num(e.dropped_buf)},
-                 {"total_buf", ChromeTraceWriter::num(e.total_buf)},
-                 {"required_buf", ChromeTraceWriter::num(e.required_buf)},
-                 {"poor_distribution",
-                  e.poor_distribution ? "true" : "false"}});
+             {{"layer", int64_t{e.layer}},
+              {"dropped_buf", e.dropped_buf},
+              {"total_buf", e.total_buf},
+              {"required_buf", e.required_buf},
+              {"poor_distribution", e.poor_distribution}});
       }));
   subs_.push_back(
       adapter.on_add().subscribe_scoped([this](const core::AddEvent& e) {
         note(e.time, ChromeTraceWriter::kAdapterTrack, "adapter.layer_add",
-             TraceArgs{{"active_layers", ChromeTraceWriter::num(int64_t{
-                                             e.new_active_layers})}});
+             {{"active_layers", int64_t{e.new_active_layers}}});
       }));
   subs_.push_back(adapter.on_allocation().subscribe_scoped(
       [this, &padding, &media,
@@ -346,19 +347,18 @@ void Observability::attach_fault_injector(sim::FaultInjector& inj) {
         const char* kind = sim::to_string(ev.kind);
         note(ev.at, ChromeTraceWriter::kLinkTrack,
              std::string("fault.") + kind,
-             TraceArgs{{"fault", ChromeTraceWriter::str(kind)},
-                       {"value", ChromeTraceWriter::num(ev.value)}});
+             {{"fault", kind}, {"value", ev.value}});
       }));
 }
 
 void Observability::note(TimePoint t, int track, std::string_view kind,
-                         const TraceArgs& fields) {
+                         ChromeTraceWriter::Args fields) {
   if (trace_) trace_->instant(t, track, kind, fields);
   if (!flightrec_ && cfg_.live.feed == nullptr) return;
   std::string detail = "{";
-  for (const auto& [key, value] : fields) {
+  for (const ChromeTraceWriter::Arg& field : fields) {
     if (detail.size() > 1) detail += ", ";
-    detail += json_quote(key) + ": " + value;
+    detail += json_quote(field.key) + ": " + field.json();
   }
   detail += "}";
   if (cfg_.live.feed != nullptr) {
@@ -371,19 +371,7 @@ void Observability::note(TimePoint t, int track, std::string_view kind,
 }
 
 void Observability::on_journey_span(const JourneySpan& span) {
-  if (flightrec_) {
-    std::string detail = "{\"id\":" + json_number(uint64_t{span.id}) +
-                         ",\"flow\":" + json_number(int64_t{span.flow}) +
-                         ",\"layer\":" + json_number(int64_t{span.layer}) +
-                         ",\"seq\":" + json_number(span.seq);
-    if (span.hop != kNoHop) {
-      detail += ",\"hop\":" + json_quote(journeys_.hop_name(span.hop));
-    }
-    detail += "}";
-    flightrec_->note(span.at,
-                     std::string("journey.") + journey_stage_name(span.stage),
-                     std::move(detail));
-  }
+  if (flightrec_) flightrec_->note_journey(span);
   // Lifecycle milestones only — the per-hop churn (enqueue, tx
   // start/complete) stays in the flight recorder, keeping trace-lane and
   // SSE volume proportional to packets, not hops.
@@ -419,14 +407,18 @@ void Observability::on_journey_span(const JourneySpan& span) {
     trace_->name_track(track,
                        "video layer " + std::to_string(span.layer));
   }
-  TraceArgs args{{"id", ChromeTraceWriter::num(static_cast<int64_t>(span.id))},
-                 {"seq", ChromeTraceWriter::num(span.seq)},
-                 {"layer_seq", ChromeTraceWriter::num(span.layer_seq)}};
-  if (span.hop != kNoHop) {
-    args.emplace_back("hop",
-                      ChromeTraceWriter::str(journeys_.hop_name(span.hop)));
+  const auto id = static_cast<int64_t>(span.id);
+  const char* stage = journey_stage_name(span.stage);
+  if (span.hop == kNoHop) {
+    trace_->instant(span.at, track, stage,
+                    {{"id", id}, {"seq", span.seq},
+                     {"layer_seq", span.layer_seq}});
+  } else {
+    trace_->instant(span.at, track, stage,
+                    {{"id", id}, {"seq", span.seq},
+                     {"layer_seq", span.layer_seq},
+                     {"hop", journeys_.hop_name(span.hop)}});
   }
-  trace_->instant(span.at, track, journey_stage_name(span.stage), args);
 }
 
 void Observability::finish() {

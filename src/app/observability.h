@@ -120,10 +120,9 @@ class Observability {
   // enabled sink from one field list: a trace instant named `kind` on
   // `track` with `fields` as its args, and the same fields as one detail
   // object ({"key": value, ...}) in the flight recorder and in the live
-  // feed's SSE "note" event ({"t", "kind", "detail"}). `fields` values are
-  // preformatted JSON tokens (ChromeTraceWriter::num/str).
+  // feed's SSE "note" event ({"t", "kind", "detail"}).
   void note(TimePoint t, int track, std::string_view kind,
-            const ChromeTraceWriter::Args& fields = {});
+            ChromeTraceWriter::Args fields = {});
 
   // --- Attach points (call during scenario setup). ------------------------
   void attach_scheduler(sim::Scheduler& sched);
@@ -147,6 +146,8 @@ class Observability {
   // Flushes every artifact (metrics snapshot as CSV and JSON, manifest,
   // finalized trace) and detaches from the scheduler. Idempotent. Must run
   // before attached objects die; the destructor calls it as a backstop.
+  // Throws std::runtime_error when an artifact cannot be written (the
+  // destructor's backstop logs that error instead).
   void finish();
   bool finished() const { return finished_; }
 

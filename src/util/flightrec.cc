@@ -7,26 +7,66 @@
 
 namespace qa {
 
-FlightRecorder::FlightRecorder(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
+FlightRecorder::FlightRecorder(size_t capacity,
+                               const JourneyRecorder* journeys)
+    : capacity_(capacity == 0 ? 1 : capacity), journeys_(journeys) {
   ring_.reserve(capacity_);
 }
 
 FlightRecorder::~FlightRecorder() { disarm(); }
 
+FlightRecorder::Entry& FlightRecorder::next_slot() {
+  ++notes_;
+  if (ring_.size() < capacity_) return ring_.emplace_back();
+  Entry& e = ring_[next_];
+  next_ = (next_ + 1) % capacity_;
+  return e;
+}
+
 void FlightRecorder::note(TimePoint at, std::string_view kind,
                           std::string detail_json) {
-  Entry e;
+  Entry& e = next_slot();
   e.sim_ns = at.ns();
+  e.is_journey = false;
   e.kind.assign(kind.data(), kind.size());
   e.detail_json = std::move(detail_json);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(e));
+}
+
+void FlightRecorder::note_journey(const JourneySpan& span) {
+  QA_CHECK(journeys_ != nullptr);
+  Entry& e = next_slot();
+  e.sim_ns = span.at.ns();
+  e.is_journey = true;
+  e.span = span;
+}
+
+void FlightRecorder::append_line(std::string& out, const Entry& e) const {
+  out += "{\"ts_ns\":";
+  out += json_number(e.sim_ns);
+  out += ",\"kind\":";
+  if (!e.is_journey) {
+    out += json_quote(e.kind);
+    out += ",\"data\":";
+    out += e.detail_json.empty() ? std::string_view("{}")
+                                 : std::string_view(e.detail_json);
   } else {
-    ring_[next_] = std::move(e);
-    next_ = (next_ + 1) % capacity_;
+    const JourneySpan& s = e.span;
+    out += json_quote(std::string("journey.") + journey_stage_name(s.stage));
+    out += ",\"data\":{\"id\":";
+    out += json_number(uint64_t{s.id});
+    out += ",\"flow\":";
+    out += json_number(int64_t{s.flow});
+    out += ",\"layer\":";
+    out += json_number(int64_t{s.layer});
+    out += ",\"seq\":";
+    out += json_number(s.seq);
+    if (s.hop != kNoHop) {
+      out += ",\"hop\":";
+      out += json_quote(journeys_->hop_name(s.hop));
+    }
+    out += "}";
   }
-  ++notes_;
+  out += "}\n";
 }
 
 std::string FlightRecorder::to_jsonl() const {
@@ -35,16 +75,7 @@ std::string FlightRecorder::to_jsonl() const {
   // Before the ring wraps, next_ stays 0 and entry 0 is the oldest; after
   // wrapping, next_ points at the oldest surviving entry.
   const size_t oldest = ring_.size() < capacity_ ? 0 : next_;
-  for (size_t i = 0; i < n; ++i) {
-    const Entry& e = ring_[(oldest + i) % n];
-    out += "{\"ts_ns\":";
-    out += json_number(e.sim_ns);
-    out += ",\"kind\":";
-    out += json_quote(e.kind);
-    out += ",\"data\":";
-    out += e.detail_json.empty() ? std::string("{}") : e.detail_json;
-    out += "}\n";
-  }
+  for (size_t i = 0; i < n; ++i) append_line(out, ring_[(oldest + i) % n]);
   return out;
 }
 

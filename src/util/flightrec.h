@@ -10,7 +10,9 @@
 //
 // Each line is one event: {"ts_ns":<sim time>,"kind":"...","data":{...}}.
 // `data` is caller-provided JSON (already encoded); the recorder does not
-// interpret it.
+// interpret it. Journey spans, the bulk of a traced run's notes, are kept
+// as plain structs instead and formatted only when the ring is read, so a
+// healthy run pays a struct copy per hop and builds no strings.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/journey.h"
 #include "util/time.h"
 
 namespace qa {
@@ -25,7 +28,10 @@ namespace qa {
 class FlightRecorder {
  public:
   // `capacity` is the ring size: how many recent events a dump preserves.
-  explicit FlightRecorder(size_t capacity = 1024);
+  // `journeys` names the hops of noted journey spans when the ring is
+  // read, so it must outlive the recorder; null if no span is noted.
+  explicit FlightRecorder(size_t capacity = 1024,
+                          const JourneyRecorder* journeys = nullptr);
   ~FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -34,6 +40,11 @@ class FlightRecorder {
   // `detail_json` must be a complete JSON value (object, string, ...);
   // pass "{}" when there is nothing to say.
   void note(TimePoint at, std::string_view kind, std::string detail_json);
+
+  // Appends a journey span as kind "journey.<stage>" with data
+  // {"id","flow","layer","seq"} plus "hop" for hop-scoped stages. Needs
+  // the constructor's `journeys`.
+  void note_journey(const JourneySpan& span);
 
   // The ring as JSONL, oldest event first.
   std::string to_jsonl() const;
@@ -60,11 +71,20 @@ class FlightRecorder {
  private:
   struct Entry {
     int64_t sim_ns = 0;
+    // A journey span is formatted from `span`, a note from the strings.
+    bool is_journey = false;
+    JourneySpan span;
     std::string kind;
     std::string detail_json;
   };
 
+  // The slot the next event goes to: appended until the ring is full, then
+  // the oldest, reused in place (its strings keep their capacity).
+  Entry& next_slot();
+  void append_line(std::string& out, const Entry& e) const;
+
   size_t capacity_;
+  const JourneyRecorder* journeys_;
   std::vector<Entry> ring_;
   size_t next_ = 0;  // overwrite position once the ring has wrapped
   int64_t notes_ = 0;

@@ -1,47 +1,70 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace qa {
+
+std::string_view json_escape(char c, char (&buf)[8]) {
+  if (!json_needs_escape(c)) return {};
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    default:
+      std::snprintf(buf, sizeof buf, "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      return {buf, 6};
+  }
+}
 
 std::string json_quote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   out.push_back('"');
+  char buf[8];
   for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+    if (json_needs_escape(c)) {
+      out += json_escape(c, buf);
+    } else {
+      out.push_back(c);
     }
   }
   out.push_back('"');
   return out;
 }
 
+size_t json_number_to(char (&out)[kJsonNumberChars], double v) {
+  if (!std::isfinite(v)) {
+    std::memcpy(out, "null", 4);
+    return 4;
+  }
+  // std::to_chars with a precision is specified as printf's %.*g, so these
+  // are the %.12g / %.17g bytes. from_chars (unlike strtod) reports no
+  // range error for subnormals, so tiny values format instead of throwing.
+  char* const end = out + kJsonNumberChars;
+  const auto short_form =
+      std::to_chars(out, end, v, std::chars_format::general, 12);
+  double back = 0;
+  const auto parsed = std::from_chars(out, short_form.ptr, back);
+  if (parsed.ec == std::errc() && back == v) {
+    return static_cast<size_t>(short_form.ptr - out);
+  }
+  return static_cast<size_t>(
+      std::to_chars(out, end, v, std::chars_format::general, 17).ptr - out);
+}
+
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  // %.17g round-trips any double; shorten when exact.
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  const std::string full = buf;
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return std::stod(buf) == v ? std::string(buf) : full;
+  char buf[kJsonNumberChars];
+  return std::string(buf, json_number_to(buf, v));
 }
 
 std::string json_number(int64_t v) { return std::to_string(v); }

@@ -8,6 +8,7 @@
 // tests to round-trip adversarial names.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,11 +20,27 @@ namespace qa {
 // (backslash, quote, control characters).
 std::string json_quote(std::string_view s);
 
+// Whether json_quote escapes `c` (backslash, quote, control characters).
+inline bool json_needs_escape(char c) {
+  return static_cast<unsigned char>(c) < 0x20 || c == '"' || c == '\\';
+}
+// The escape sequence json_quote writes for `c`, spelled into `buf`; empty
+// when `c` goes out as is. Lets writers that quote in place (the trace
+// writer's buffer) share json_quote's escaping byte for byte.
+std::string_view json_escape(char c, char (&buf)[8]);
+
 // `v` as a JSON number token. Non-finite values (which JSON cannot
-// represent) become null.
+// represent) become null. Doubles print as printf's %.12g when that reads
+// back as exactly `v`, else as %.17g (which always does).
 std::string json_number(double v);
 std::string json_number(int64_t v);
 std::string json_number(uint64_t v);
+
+// Room json_number_to needs: the longest token is a %.17g double such as
+// "-2.2250738585072014e-308".
+inline constexpr size_t kJsonNumberChars = 32;
+// Writes json_number(v) into `out` without allocating; returns the length.
+size_t json_number_to(char (&out)[kJsonNumberChars], double v);
 
 // Writes `content` to `path`, throwing std::runtime_error when the file
 // cannot be created — the same contract as CsvWriter, so artifact writers

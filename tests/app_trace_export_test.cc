@@ -10,12 +10,14 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "app/experiment.h"
 #include "app/observability.h"
 #include "util/chrome_trace.h"
+#include "util/logging.h"
 
 namespace qa::app {
 namespace {
@@ -223,6 +225,54 @@ TEST_F(TraceExportTest, FinishIsIdempotent) {
   EXPECT_TRUE(obs.finished());
   obs.finish();  // second call is a no-op, not a double-write
   EXPECT_TRUE(std::filesystem::exists(dir_ + "/manifest.json"));
+}
+
+// trace.json linked to /dev/full: every write fails with ENOSPC. An
+// explicit finish() reports it; a hub that dies without finish() logs it
+// instead of throwing out of its destructor (which would terminate).
+class TraceExportFailureTest : public TraceExportTest {
+ protected:
+  void SetUp() override {
+    if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+    TraceExportTest::SetUp();
+    std::filesystem::create_symlink("/dev/full", dir_ + "/trace.json");
+  }
+
+  // Enough notes to fill several trace chunks before the end.
+  static void emit_notes(Observability& obs) {
+    for (int i = 0; i < 3000; ++i) {
+      obs.note(TimePoint::from_ns(i), ChromeTraceWriter::kAdapterTrack,
+               "adapter.layer_add", {{"active_layers", i}});
+    }
+  }
+};
+
+TEST_F(TraceExportFailureTest, FinishThrowsOnFailedTraceWrite) {
+  ObservabilityConfig cfg;
+  cfg.out_dir = dir_;
+  Observability obs(cfg);
+  emit_notes(obs);
+  EXPECT_THROW(obs.finish(), std::runtime_error);
+  EXPECT_TRUE(obs.finished());
+  // The artifacts written before the trace still landed.
+  EXPECT_TRUE(std::filesystem::exists(dir_ + "/metrics.json"));
+  EXPECT_TRUE(std::filesystem::exists(dir_ + "/manifest.json"));
+}
+
+TEST_F(TraceExportFailureTest, DestructorLogsFailedTraceWrite) {
+  std::vector<std::string> errors;
+  set_log_sink([&errors](const LogRecord& rec) {
+    if (rec.level == LogLevel::kError) errors.push_back(rec.message);
+  });
+  {
+    ObservabilityConfig cfg;
+    cfg.out_dir = dir_;
+    Observability obs(cfg);
+    emit_notes(obs);
+  }  // no finish(): the destructor's backstop meets the failure
+  set_log_sink(nullptr);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("trace file write failed"), std::string::npos);
 }
 
 }  // namespace

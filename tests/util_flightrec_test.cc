@@ -31,6 +31,34 @@ std::vector<std::string> lines_of(const std::string& text) {
   return lines;
 }
 
+TEST(FlightRecorder, FormatsJourneySpansWithHopNamesWhenRead) {
+  JourneyRecorder journeys;
+  const HopId hop = journeys.register_hop("bottleneck");
+  FlightRecorder rec(8, &journeys);
+  JourneySpan span;
+  span.id = 7;
+  span.stage = JourneyStage::kTxStart;
+  span.at = TimePoint::from_ns(1500);
+  span.hop = hop;
+  span.flow = 2;
+  span.layer = 1;
+  span.seq = 42;
+  rec.note_journey(span);
+  span.stage = JourneyStage::kSubmit;
+  span.hop = kNoHop;
+  rec.note_journey(span);
+  rec.note(TimePoint::from_ns(1600), "a", "{}");
+  const auto lines = lines_of(rec.to_jsonl());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0],
+            "{\"ts_ns\":1500,\"kind\":\"journey.tx_start\",\"data\":{\"id\":7,"
+            "\"flow\":2,\"layer\":1,\"seq\":42,\"hop\":\"bottleneck\"}}");
+  EXPECT_EQ(lines[1],
+            "{\"ts_ns\":1500,\"kind\":\"journey.submit\",\"data\":{\"id\":7,"
+            "\"flow\":2,\"layer\":1,\"seq\":42}}");
+  EXPECT_EQ(lines[2], "{\"ts_ns\":1600,\"kind\":\"a\",\"data\":{}}");
+}
+
 TEST(FlightRecorder, KeepsEventsInOrder) {
   FlightRecorder rec(8);
   rec.note(TimePoint::from_sec(1), "a", "{}");

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <ios>
 #include <limits>
+#include <random>
+#include <stdexcept>
 #include <string>
 
 namespace qa {
@@ -116,6 +123,101 @@ TEST(JsonNumber, RoundTripsDoubles) {
     const JsonValue v = parse_or_die(json_number(d));
     EXPECT_DOUBLE_EQ(v.number, d);
   }
+}
+
+TEST(JsonNumber, SubnormalsFormatWithoutThrowing) {
+  // strtod reports ERANGE on underflow, so a %.12g token that reads back
+  // as a subnormal used to throw out of std::stod. Each of these must
+  // format, and the token must read back as exactly the value.
+  const double min_normal = std::numeric_limits<double>::min();
+  for (double d : {1e-310, 5e-324, -5e-324, 2.5e-320, min_normal,
+                   std::nextafter(min_normal, 0.0),
+                   std::numeric_limits<double>::denorm_min()}) {
+    std::string token;
+    ASSERT_NO_THROW(token = json_number(d)) << d;
+    const JsonValue v = parse_or_die(token);
+    EXPECT_EQ(v.number, d) << token;
+  }
+  EXPECT_EQ(json_number(5e-324), "4.94065645841e-324");
+}
+
+// The formula json_number(double) replaced, kept inline as the reference:
+// %.12g if strtod reads it back exactly, else %.17g.
+std::string reference_json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  const std::string full = buf;
+  std::snprintf(buf, sizeof buf, "%.12g", v);
+  return std::stod(buf) == v ? std::string(buf) : full;
+}
+
+double from_bits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
+
+TEST(JsonNumber, MatchesPrintfReferenceOnSeededDoubles) {
+  std::mt19937_64 rng(20240601);
+  std::uniform_real_distribution<double> unit(1.0, 2.0);
+  constexpr int kSamples = 1 << 20;
+  int compared = 0;
+  int skipped = 0;
+  for (int i = 0; i < kSamples; ++i) {
+    const uint64_t r = rng();
+    double v = 0;
+    switch (i % 8) {
+      case 0:  // any bit pattern: NaN, inf, every exponent
+        v = from_bits(r);
+        break;
+      case 1:  // exact integers up to 2^53
+        v = static_cast<double>(static_cast<int64_t>(r >> 10) -
+                                (int64_t{1} << 53));
+        break;
+      case 2:  // small integers and signed zeros
+        v = static_cast<double>(static_cast<int64_t>(r % 2'000'001) -
+                                1'000'000);
+        if (r % 97 == 0) v = (r & 1) ? -0.0 : 0.0;
+        break;
+      case 3:  // short decimals, which %.12g round-trips
+        v = static_cast<double>(static_cast<int64_t>(r % 20'000'001) -
+                                10'000'000) /
+            std::pow(10.0, static_cast<double>(r % 13));
+        break;
+      case 4:  // huge exponents
+        v = std::ldexp(unit(rng), 900 + static_cast<int>(r % 124));
+        break;
+      case 5:  // tiny normal exponents
+        v = std::ldexp(unit(rng), -1022 + static_cast<int>(r % 123));
+        break;
+      case 6:  // trace-style values: nanoseconds scaled to microseconds
+        v = static_cast<double>(r % 10'000'000'000'000) * 1e-3;
+        break;
+      default:  // one ulp off a short decimal: needs all 17 digits
+        v = std::nextafter(static_cast<double>(r % 100'000) / 1000.0,
+                           (r & 1) ? 1e300 : -1e300);
+        break;
+    }
+    if (std::fpclassify(v) == FP_SUBNORMAL) {
+      ++skipped;
+      continue;
+    }
+    std::string want;
+    try {
+      want = reference_json_number(v);
+    } catch (const std::out_of_range&) {
+      // The reference's own defect: a %.12g token just below the smallest
+      // normal double reads back as a subnormal and strtod flags ERANGE.
+      EXPECT_LT(std::fabs(v), 2.3e-308) << v;
+      ++skipped;
+      continue;
+    }
+    ASSERT_EQ(json_number(v), want) << std::hexfloat << v;
+    ++compared;
+  }
+  EXPECT_GE(compared, 1'000'000);
+  EXPECT_LT(skipped, kSamples / 100);
 }
 
 }  // namespace
