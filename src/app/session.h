@@ -9,8 +9,8 @@
 // prototype so per-session construction does not re-allocate the stream
 // description. The farm keeps Sessions in reusable slots
 // (std::optional<Session> emplace/reset), so a departed session's storage
-// is recycled in place. bench/micro_session_churn pins the build+teardown
-// rate (BENCH_farm.json).
+// is recycled in place. qabench's farm_churn500 workload times build and
+// teardown as part of every rep (cpu_s, setup_s).
 #pragma once
 
 #include <memory>

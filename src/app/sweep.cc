@@ -317,6 +317,8 @@ void write_sweep_artifacts(const std::vector<SweepRow>& rows,
 
 namespace {
 
+// Splits `s` on commas and converts every element with `conv`, which
+// throws std::invalid_argument for an element it cannot take.
 template <typename T, typename Conv>
 std::vector<T> parse_list(const std::string& s, Conv conv) {
   std::vector<T> out;
@@ -324,41 +326,62 @@ std::vector<T> parse_list(const std::string& s, Conv conv) {
   while (pos <= s.size()) {
     const size_t comma = std::min(s.find(',', pos), s.size());
     const std::string token = s.substr(pos, comma - pos);
-    if (token.empty()) throw std::invalid_argument("empty list element");
-    size_t used = 0;
-    out.push_back(conv(token, &used));
-    if (used != token.size()) {
-      throw std::invalid_argument("trailing characters in '" + token + "'");
+    if (token.empty()) {
+      throw std::invalid_argument("empty element in list '" + s + "'");
     }
+    out.push_back(conv(token));
     pos = comma + 1;
   }
   return out;
 }
 
+// One list element through a std::sto* conversion (`sto(&used)`), which
+// must consume all of it: "x" and "1.5mm" are rejected by name instead of
+// as a bare "stoi".
+template <typename T, typename Sto>
+T parse_number(const std::string& token, const char* want, Sto sto) {
+  size_t used = 0;
+  T value{};
+  try {
+    value = sto(&used);
+  } catch (const std::logic_error&) {
+    used = 0;  // std::invalid_argument or std::out_of_range
+  }
+  if (used != token.size()) {
+    throw std::invalid_argument("invalid list element '" + token +
+                                "' (want " + want + ")");
+  }
+  return value;
+}
+
 }  // namespace
 
 std::vector<double> parse_double_list(const std::string& s) {
-  return parse_list<double>(
-      s, [](const std::string& t, size_t* used) { return std::stod(t, used); });
+  return parse_list<double>(s, [](const std::string& t) {
+    return parse_number<double>(
+        t, "a number", [&t](size_t* used) { return std::stod(t, used); });
+  });
 }
 
 std::vector<int> parse_int_list(const std::string& s) {
-  return parse_list<int>(s, [](const std::string& t, size_t* used) {
-    return std::stoi(t, used);
+  return parse_list<int>(s, [](const std::string& t) {
+    return parse_number<int>(
+        t, "an integer", [&t](size_t* used) { return std::stoi(t, used); });
   });
 }
 
 std::vector<uint64_t> parse_u64_list(const std::string& s) {
-  return parse_list<uint64_t>(s, [](const std::string& t, size_t* used) {
-    return static_cast<uint64_t>(std::stoull(t, used));
+  return parse_list<uint64_t>(s, [](const std::string& t) {
+    return parse_number<uint64_t>(t, "an unsigned integer",
+                                  [&t](size_t* used) {
+                                    return static_cast<uint64_t>(
+                                        std::stoull(t, used));
+                                  });
   });
 }
 
 std::vector<cc::Backend> parse_backend_list(const std::string& s) {
-  return parse_list<cc::Backend>(s, [](const std::string& t, size_t* used) {
-    *used = t.size();  // parse_backend consumes the whole token or throws
-    return cc::parse_backend(t);
-  });
+  return parse_list<cc::Backend>(s, &cc::parse_backend);
 }
 
 }  // namespace qa::app

@@ -1,6 +1,9 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace qa {
 
@@ -44,14 +47,37 @@ std::string Flags::get_or(const std::string& name,
   return get(name).value_or(def);
 }
 
+namespace {
+
+[[noreturn]] void throw_bad_value(const std::string& name,
+                                  const std::string& value, const char* want) {
+  throw std::invalid_argument("invalid value '" + value + "' for --" + name +
+                              " (want " + want + ")");
+}
+
+}  // namespace
+
 double Flags::get_double(const std::string& name, double def) const {
   const auto v = get(name);
-  return v && !v->empty() ? std::strtod(v->c_str(), nullptr) : def;
+  if (!v || v->empty()) return def;
+  char* end = nullptr;
+  const double x = std::strtod(v->c_str(), &end);
+  if (end != v->c_str() + v->size() || !std::isfinite(x)) {
+    throw_bad_value(name, *v, "a finite number");
+  }
+  return x;
 }
 
 int64_t Flags::get_int(const std::string& name, int64_t def) const {
   const auto v = get(name);
-  return v && !v->empty() ? std::strtoll(v->c_str(), nullptr, 10) : def;
+  if (!v || v->empty()) return def;
+  char* end = nullptr;
+  errno = 0;
+  const long long x = std::strtoll(v->c_str(), &end, 10);
+  if (end != v->c_str() + v->size() || errno == ERANGE) {
+    throw_bad_value(name, *v, "an integer");
+  }
+  return x;
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {

@@ -21,6 +21,10 @@ class Flags {
   bool has(const std::string& name) const;
   std::optional<std::string> get(const std::string& name) const;
   std::string get_or(const std::string& name, const std::string& def) const;
+  // Numeric getters return `def` when the flag is absent or empty, and
+  // throw std::invalid_argument naming the flag and the value unless the
+  // whole value parses: "5s", "abc" and an overflowing "1e400" are errors,
+  // never silently truncated to a number.
   double get_double(const std::string& name, double def) const;
   int64_t get_int(const std::string& name, int64_t def) const;
   // True for --name, false for --no-name, `def` otherwise.

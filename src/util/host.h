@@ -1,10 +1,10 @@
-// Host-process introspection for the bench/sweep reporters.
+// Host-process introspection for the benchmark and the sweep runners.
 //
-// The BENCH_*.json artifacts record peak resident set size alongside
-// throughput so a hot-path "optimisation" that trades memory for speed is
-// visible in review. Linux-only in implementation (reads /proc); on other
-// platforms the probes return 0 rather than failing, since the numbers are
-// advisory, not load-bearing.
+// qabench records peak resident set size (its peak_rss_mb metric)
+// alongside time so a hot-path "optimisation" that trades memory for speed
+// is visible in review. Linux-only in implementation (reads /proc); on
+// other platforms the probes return 0 rather than failing, since the
+// numbers are advisory, not load-bearing.
 #pragma once
 
 #include <cstdint>

@@ -241,6 +241,24 @@ TEST(SweepTest, ListParsers) {
   EXPECT_THROW(parse_int_list("1,,2"), std::invalid_argument);
   EXPECT_THROW(parse_int_list("1,x"), std::invalid_argument);
   EXPECT_THROW(parse_double_list("1.5mm"), std::invalid_argument);
+  EXPECT_THROW(parse_int_list("99999999999"), std::invalid_argument);
+  EXPECT_THROW(parse_backend_list("rap,cubic"), std::invalid_argument);
+}
+
+// A rejected element is named, not reported as a bare "stoi".
+TEST(SweepTest, ListParsersNameTheBadElement) {
+  try {
+    parse_int_list("1,x");
+    FAIL() << "1,x parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "invalid list element 'x' (want an integer)");
+  }
+  try {
+    parse_backend_list("rap,cubic");
+    FAIL() << "rap,cubic parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'cubic'"), std::string::npos);
+  }
 }
 
 }  // namespace

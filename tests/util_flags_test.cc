@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace qa {
 namespace {
 
@@ -64,6 +67,51 @@ TEST(Flags, HasMarksQueried) {
   const Flags f = make({"--help"});
   EXPECT_TRUE(f.has("help"));
   EXPECT_TRUE(f.unused().empty());
+}
+
+TEST(Flags, NumericValuesParseWhole) {
+  const Flags f = make({"--n=-3", "--x=2.5", "--y=1e3"});
+  EXPECT_EQ(f.get_int("n", 0), -3);
+  EXPECT_DOUBLE_EQ(f.get_double("x", 0), 2.5);
+  EXPECT_DOUBLE_EQ(f.get_double("y", 0), 1000.0);
+}
+
+// An empty value (--seed= or a bare --seed) falls back to the default.
+TEST(Flags, EmptyNumericValueTakesTheDefault) {
+  const Flags f = make({"--seed=", "--rate"});
+  EXPECT_EQ(f.get_int("seed", 7), 7);
+  EXPECT_DOUBLE_EQ(f.get_double("rate", 2.5), 2.5);
+}
+
+// The message of a rejected value, or "" if the getter accepted it.
+template <typename Get>
+std::string rejection(Get get) {
+  try {
+    get();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A value that does not parse whole is an error naming the flag and the
+// value: "abc" used to run as seed 0 and "5s" as 5.
+TEST(Flags, MalformedNumbersAreRejectedByName) {
+  const Flags f = make({"--seed=abc", "--duration-s=5s", "--rate=1e400",
+                        "--kmax=1.5", "--big=99999999999999999999",
+                        "--x=nan"});
+  EXPECT_EQ(rejection([&] { f.get_int("seed", 1); }),
+            "invalid value 'abc' for --seed (want an integer)");
+  EXPECT_EQ(rejection([&] { f.get_double("seed", 1); }),
+            "invalid value 'abc' for --seed (want a finite number)");
+  EXPECT_EQ(rejection([&] { f.get_double("duration-s", 20); }),
+            "invalid value '5s' for --duration-s (want a finite number)");
+  EXPECT_EQ(rejection([&] { f.get_int("duration-s", 20); }),
+            "invalid value '5s' for --duration-s (want an integer)");
+  EXPECT_NE(rejection([&] { f.get_double("rate", 0); }), "");
+  EXPECT_NE(rejection([&] { f.get_int("kmax", 1); }), "");
+  EXPECT_NE(rejection([&] { f.get_int("big", 0); }), "");
+  EXPECT_NE(rejection([&] { f.get_double("x", 0); }), "");
 }
 
 // The canonical enumerated-flag diagnostic: it must quote the rejected

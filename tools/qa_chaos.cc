@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "app/chaos.h"
@@ -53,22 +54,29 @@ int main(int argc, char** argv) {
   }
 
   ChaosParams base;
-  const int seeds = static_cast<int>(flags.get_int("seeds", 50));
-  const uint64_t first_seed =
-      static_cast<uint64_t>(flags.get_int("first-seed", 1));
-  base.faults = static_cast<int>(flags.get_int("faults", base.faults));
-  base.warmup = TimeDelta::from_sec(flags.get_double("warmup", base.warmup.sec()));
-  base.fault_window =
-      TimeDelta::from_sec(flags.get_double("window", base.fault_window.sec()));
-  base.tail = TimeDelta::from_sec(flags.get_double("tail", base.tail.sec()));
-  base.recovery_bound = TimeDelta::from_sec(
-      flags.get_double("recovery-bound", base.recovery_bound.sec()));
-  base.bottleneck = Rate::kilobits_per_sec(
-      flags.get_double("bottleneck-kbps", base.bottleneck.kbps()));
-  base.stream_layers =
-      static_cast<int>(flags.get_int("layers", base.stream_layers));
-  base.layer_rate =
-      Rate::bytes_per_sec(flags.get_double("layer-rate", base.layer_rate.bps()));
+  int seeds = 0;
+  uint64_t first_seed = 0;
+  try {
+    seeds = static_cast<int>(flags.get_int("seeds", 50));
+    first_seed = static_cast<uint64_t>(flags.get_int("first-seed", 1));
+    base.faults = static_cast<int>(flags.get_int("faults", base.faults));
+    base.warmup =
+        TimeDelta::from_sec(flags.get_double("warmup", base.warmup.sec()));
+    base.fault_window = TimeDelta::from_sec(
+        flags.get_double("window", base.fault_window.sec()));
+    base.tail = TimeDelta::from_sec(flags.get_double("tail", base.tail.sec()));
+    base.recovery_bound = TimeDelta::from_sec(
+        flags.get_double("recovery-bound", base.recovery_bound.sec()));
+    base.bottleneck = Rate::kilobits_per_sec(
+        flags.get_double("bottleneck-kbps", base.bottleneck.kbps()));
+    base.stream_layers =
+        static_cast<int>(flags.get_int("layers", base.stream_layers));
+    base.layer_rate = Rate::bytes_per_sec(
+        flags.get_double("layer-rate", base.layer_rate.bps()));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "qa_chaos: %s\n", e.what());
+    return 1;
+  }
   const bool verbose = flags.get_bool("verbose", false);
   const std::string out_dir = flags.get_or("out-dir", "");
 

@@ -10,6 +10,7 @@
 // I/O error — so CI can distinguish "runs differ" from "couldn't compare".
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 
 #include "util/flags.h"
@@ -45,8 +46,13 @@ int main(int argc, char** argv) {
   }
 
   RunDiffRules rules;
-  rules.rel_tol = flags.get_double("rel-tol", rules.rel_tol);
-  rules.abs_tol = flags.get_double("abs-tol", rules.abs_tol);
+  try {
+    rules.rel_tol = flags.get_double("rel-tol", rules.rel_tol);
+    rules.abs_tol = flags.get_double("abs-tol", rules.abs_tol);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "qa_diff: %s\n", e.what());
+    return 2;
+  }
   const std::string extra_ignore = flags.get_or("ignore", "");
   size_t start = 0;
   while (start < extra_ignore.size()) {

@@ -75,39 +75,41 @@ int main(int argc, char** argv) {
     if (flags.has("backend")) {
       p.backend = cc::parse_backend(flags.get_or("backend", "rap"));
     }
+    p.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
+    p.slots = static_cast<int>(flags.get_int("slots", p.slots));
+    p.duration =
+        TimeDelta::from_sec(flags.get_double("duration-s", p.duration.sec()));
+    p.bottleneck_bw = Rate::kilobits_per_sec(
+        flags.get_double("bottleneck-kbps", p.bottleneck_bw.kbps()));
+    p.rtt = TimeDelta::from_sec(
+        flags.get_double("rtt-ms", p.rtt.sec() * 1000.0) / 1000.0);
+    p.stream_layers =
+        static_cast<int>(flags.get_int("layers", p.stream_layers));
+    p.layer_rate =
+        Rate::bytes_per_sec(flags.get_double("layer-rate", p.layer_rate.bps()));
+    p.packet_size =
+        static_cast<int32_t>(flags.get_int("packet-size", p.packet_size));
+    p.arrival_rate_hz = flags.get_double("arrival-rate", p.arrival_rate_hz);
+    p.mean_session = TimeDelta::from_sec(
+        flags.get_double("mean-session-s", p.mean_session.sec()));
+    p.flash_crowd_at = TimeDelta::from_sec(
+        flags.get_double("flash-crowd-at", p.flash_crowd_at.sec()));
+    p.flash_crowd_arrivals = static_cast<int>(
+        flags.get_int("flash-crowd-n", p.flash_crowd_arrivals));
+    p.mass_departure_at = TimeDelta::from_sec(
+        flags.get_double("mass-departure-at", p.mass_departure_at.sec()));
+    p.mass_departure_fraction =
+        flags.get_double("mass-departure-frac", p.mass_departure_fraction);
+    p.outage_at =
+        TimeDelta::from_sec(flags.get_double("outage-at", p.outage_at.sec()));
+    p.outage =
+        TimeDelta::from_sec(flags.get_double("outage-s", p.outage.sec()));
+    p.sample_dt =
+        TimeDelta::from_sec(flags.get_double("sample-dt", p.sample_dt.sec()));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "qa_farm: %s\n", e.what());
     return 1;
   }
-  p.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
-  p.slots = static_cast<int>(flags.get_int("slots", p.slots));
-  p.duration =
-      TimeDelta::from_sec(flags.get_double("duration-s", p.duration.sec()));
-  p.bottleneck_bw = Rate::kilobits_per_sec(
-      flags.get_double("bottleneck-kbps", p.bottleneck_bw.kbps()));
-  p.rtt = TimeDelta::from_sec(
-      flags.get_double("rtt-ms", p.rtt.sec() * 1000.0) / 1000.0);
-  p.stream_layers = static_cast<int>(flags.get_int("layers", p.stream_layers));
-  p.layer_rate =
-      Rate::bytes_per_sec(flags.get_double("layer-rate", p.layer_rate.bps()));
-  p.packet_size =
-      static_cast<int32_t>(flags.get_int("packet-size", p.packet_size));
-  p.arrival_rate_hz = flags.get_double("arrival-rate", p.arrival_rate_hz);
-  p.mean_session = TimeDelta::from_sec(
-      flags.get_double("mean-session-s", p.mean_session.sec()));
-  p.flash_crowd_at = TimeDelta::from_sec(
-      flags.get_double("flash-crowd-at", p.flash_crowd_at.sec()));
-  p.flash_crowd_arrivals = static_cast<int>(
-      flags.get_int("flash-crowd-n", p.flash_crowd_arrivals));
-  p.mass_departure_at = TimeDelta::from_sec(
-      flags.get_double("mass-departure-at", p.mass_departure_at.sec()));
-  p.mass_departure_fraction =
-      flags.get_double("mass-departure-frac", p.mass_departure_fraction);
-  p.outage_at =
-      TimeDelta::from_sec(flags.get_double("outage-at", p.outage_at.sec()));
-  p.outage = TimeDelta::from_sec(flags.get_double("outage-s", p.outage.sec()));
-  p.sample_dt =
-      TimeDelta::from_sec(flags.get_double("sample-dt", p.sample_dt.sec()));
   p.admission_enabled = !flags.get_bool("no-admission", false);
   p.ladder_enabled = !flags.get_bool("no-ladder", false);
   const bool print_digest = flags.get_bool("print-digest", false);

@@ -518,18 +518,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const bool sweep_mode = flags.get_bool("sweep", false);
-  const bool no_serve = flags.get_bool("no-serve", false);
-  const bool self_check = flags.get_bool("self-check", false);
-  const uint16_t port = static_cast<uint16_t>(flags.get_int("port", 0));
-
-  if (self_check && no_serve) {
-    std::fprintf(stderr, "qa_live: --self-check needs a server "
-                         "(drop --no-serve)\n");
-    return 1;
-  }
-
   try {
+    const bool sweep_mode = flags.get_bool("sweep", false);
+    const bool no_serve = flags.get_bool("no-serve", false);
+    const bool self_check = flags.get_bool("self-check", false);
+    const uint16_t port = static_cast<uint16_t>(flags.get_int("port", 0));
+
+    if (self_check && no_serve) {
+      std::fprintf(stderr, "qa_live: --self-check needs a server "
+                           "(drop --no-serve)\n");
+      return 1;
+    }
+
     ScenarioSpec scenario;
     SweepSpec sweep;
     if (sweep_mode) {

@@ -370,38 +370,38 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string scenario = flags.get_or("scenario", "farm");
-  const std::string eval_dir = flags.get_or("eval", "");
-  const std::string spec_path = flags.get_or("spec", "");
-  const std::string out_dir = flags.get_or("out-dir", "");
-  const bool print_digest = flags.get_bool("print-digest", false);
-
-  // Touch every mode flag before the unknown-flag check; the mode
-  // functions re-read the ones they consume.
-  (void)flags.get_or("preset", "");
-  (void)flags.get_or("backend", "");
-  (void)flags.get_int("seed", 1);
-  (void)flags.get_double("duration-s", 0);
-  (void)flags.get_int("slots", 0);
-  (void)flags.get_double("bottleneck-kbps", 0);
-  (void)flags.get_double("arrival-rate", 0);
-  (void)flags.get_double("mean-session-s", 0);
-  (void)flags.get_double("sample-dt", 0);
-  (void)flags.get_double("cadence-s", 0);
-  (void)flags.get_bool("no-admission", false);
-  (void)flags.get_bool("no-ladder", false);
-  (void)flags.get_or("select", "");
-
-  const auto unused = flags.unused();
-  if (!unused.empty()) {
-    for (const auto& u : unused) {
-      std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-    }
-    usage();
-    return 2;
-  }
-
   try {
+    const std::string scenario = flags.get_or("scenario", "farm");
+    const std::string eval_dir = flags.get_or("eval", "");
+    const std::string spec_path = flags.get_or("spec", "");
+    const std::string out_dir = flags.get_or("out-dir", "");
+    const bool print_digest = flags.get_bool("print-digest", false);
+
+    // Touch every mode flag before the unknown-flag check; the mode
+    // functions re-read the ones they consume.
+    (void)flags.get_or("preset", "");
+    (void)flags.get_or("backend", "");
+    (void)flags.get_int("seed", 1);
+    (void)flags.get_double("duration-s", 0);
+    (void)flags.get_int("slots", 0);
+    (void)flags.get_double("bottleneck-kbps", 0);
+    (void)flags.get_double("arrival-rate", 0);
+    (void)flags.get_double("mean-session-s", 0);
+    (void)flags.get_double("sample-dt", 0);
+    (void)flags.get_double("cadence-s", 0);
+    (void)flags.get_bool("no-admission", false);
+    (void)flags.get_bool("no-ladder", false);
+    (void)flags.get_or("select", "");
+
+    const auto unused = flags.unused();
+    if (!unused.empty()) {
+      for (const auto& u : unused) {
+        std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
+      }
+      usage();
+      return 2;
+    }
+
     // Spec: explicit file > built-in per-scenario defaults. Eval mode
     // without --spec defers to the evaluated dir's own slo_spec.json.
     std::string spec_text;

@@ -12,11 +12,7 @@
 //   qa_sweep --out-dir /tmp/sweep --kmax 1,2,3,4 --seeds 1,2,3 --jobs 8
 //   qa_sweep --preset fig12 --out-dir /tmp/fig12
 //   qa_sweep --kmax 1,2 --shard 0/2 --print-digest     # CI shard
-//
-// --bench-json FILE additionally records wall time, scenario throughput,
-// and peak RSS in the BENCH_sweep.json shape the CI perf job uploads.
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <string>
@@ -24,7 +20,6 @@
 #include "app/sweep.h"
 #include "util/flags.h"
 #include "util/host.h"
-#include "util/json.h"
 #include "util/manifest.h"
 
 using namespace qa;
@@ -57,11 +52,7 @@ void usage() {
       "  --jobs N               worker threads (default: host cores)\n"
       "  --shard I/K            run grid indices congruent to I mod K\n"
       "  --out-dir DIR          write sweep.csv/sweep.json/manifest.json\n"
-      "  --print-digest         print the canonical row digest to stdout\n"
-      "  --bench-json FILE      write BENCH_sweep.json-style timing record\n"
-      "  --bench-serial         with --bench-json: rerun the grid with\n"
-      "                         --jobs 1, verify digest-identical output,\n"
-      "                         and record the parallel speedup\n");
+      "  --print-digest         print the canonical row digest to stdout\n");
 }
 
 // "I/K" -> (I, K). Exits with a usage error on malformed input.
@@ -152,8 +143,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     const bool print_digest = flags.get_bool("print-digest", false);
-    const std::string bench_json = flags.get_or("bench-json", "");
-    const bool bench_serial = flags.get_bool("bench-serial", false);
 
     const auto unused = flags.unused();
     if (!unused.empty()) {
@@ -205,52 +194,6 @@ int main(int argc, char** argv) {
       manifest.write_json(opts.out_dir + "/manifest.json");
       std::printf("artifacts in %s: sweep.csv sweep.json manifest.json\n",
                   opts.out_dir.c_str());
-    }
-
-    if (!bench_json.empty()) {
-      const double scen_per_s =
-          result.wall_s > 0
-              ? static_cast<double>(result.rows.size()) / result.wall_s
-              : 0;
-      // The serial reference doubles as a determinism check: the digest
-      // must not depend on the worker count.
-      double serial_wall_s = 0;
-      if (bench_serial) {
-        SweepOptions serial = opts;
-        serial.jobs = 1;
-        serial.out_dir.clear();
-        const SweepResult ref = run_sweep(grid, serial);
-        serial_wall_s = ref.wall_s;
-        if (sweep_digest(ref.rows) != sweep_digest(result.rows)) {
-          std::fprintf(stderr,
-                       "qa_sweep: --jobs %d digest differs from --jobs 1\n",
-                       result.jobs);
-          return 1;
-        }
-      }
-      std::string json = "{\n";
-      json += "  \"bench\": \"qa_sweep\",\n";
-      json += "  \"grid_size\": " +
-              json_number(static_cast<int64_t>(result.grid_size)) + ",\n";
-      json += "  \"rows\": " +
-              json_number(static_cast<int64_t>(result.rows.size())) + ",\n";
-      json += "  \"jobs\": " + json_number(int64_t{result.jobs}) + ",\n";
-      json += "  \"host_cpus\": " + json_number(int64_t{host_cpu_count()}) +
-              ",\n";
-      json += "  \"wall_s\": " + json_number(result.wall_s) + ",\n";
-      json += "  \"scenarios_per_sec\": " + json_number(scen_per_s) + ",\n";
-      if (bench_serial) {
-        json += "  \"serial_wall_s\": " + json_number(serial_wall_s) + ",\n";
-        json += "  \"parallel_speedup\": " +
-                json_number(result.wall_s > 0 ? serial_wall_s / result.wall_s
-                                              : 0) +
-                ",\n";
-        json += "  \"digest_matches_serial\": true,\n";
-      }
-      json += "  \"peak_rss_bytes\": " + json_number(peak_rss_bytes()) + "\n";
-      json += "}\n";
-      write_text_file(bench_json, json);
-      std::printf("wrote %s\n", bench_json.c_str());
     }
 
     return failed == 0 ? 0 : 2;

@@ -11,7 +11,7 @@
 // when only the outcome is wanted.
 //
 //   qa_trace --out-dir /tmp/qa_run
-//   qa_trace --out-dir /tmp/qa_run --duration 60 --kmax 2 --seed 7
+//   qa_trace --out-dir /tmp/qa_run --duration-s 60 --kmax 2 --seed 7
 //   qa_trace --out-dir /tmp/qa_run --rap-flows 10 --tcp-flows 10
 //   qa_trace --out-dir /tmp/qa_run --no-trace --cbr --csv run.csv
 //   qa_trace --out-dir /tmp/qa_run --allocation equal-share  # §2.3 strawman
@@ -40,8 +40,7 @@ void usage() {
   std::printf(
       "qa_trace [flags]\n"
       "  --out-dir DIR          artifact directory (required; created)\n"
-      "  --duration-s SECS      run length (default 20, 90 with --cbr;\n"
-      "                         --duration is an accepted alias)\n"
+      "  --duration-s SECS      run length (default 20, 90 with --cbr)\n"
       "  --seed N               RNG seed (default 1)\n"
       "  --bottleneck-kbps K    bottleneck bandwidth (default 240)\n"
       "  --rtt-ms MS            round-trip propagation (default 40)\n"
@@ -98,64 +97,60 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string out_dir = flags.get_or("out-dir", "");
-  ExperimentParams params;
-  params.rap_flows = static_cast<int>(flags.get_int("rap-flows", 1));
-  params.tcp_flows = static_cast<int>(flags.get_int("tcp-flows", 0));
-  params.with_cbr = flags.get_bool("cbr", false);
-  // --duration-s is the canonical spelling; --duration remains an alias
-  // for scripts written against earlier revisions. A CBR run defaults to
-  // 90 s so the 30-60 s burst and the recovery after it both show.
-  params.duration_sec = flags.get_double(
-      "duration-s", flags.get_double("duration", params.with_cbr ? 90 : 20));
-  params.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
-  params.bottleneck =
-      Rate::kilobits_per_sec(flags.get_double("bottleneck-kbps", 240.0));
-  params.rtt = TimeDelta::millis(flags.get_int("rtt-ms", 40));
-  params.bottleneck_queue_bytes = flags.get_int("queue-bytes", 50'000);
-  params.red_bottleneck = flags.get_bool("red", false);
-  params.layer_rate =
-      Rate::bytes_per_sec(flags.get_double("layer-rate", 10'000.0));
-  params.stream_layers = static_cast<int>(flags.get_int("layers", 8));
-  params.packet_size = static_cast<int32_t>(flags.get_int("packet", 250));
-  params.kmax = static_cast<int>(flags.get_int("kmax", 1));
-  if (const auto alloc = flags.get("allocation")) {
-    const auto parsed = core::parse_policy(*alloc);
-    if (!parsed) {
-      std::fprintf(stderr, "qa_trace: unknown allocation policy '%s'\n",
-                   alloc->c_str());
+  // A malformed flag value or an unknown --backend throws here, before
+  // anything runs, and exits 1 like every other usage error.
+  try {
+    const std::string out_dir = flags.get_or("out-dir", "");
+    ExperimentParams params;
+    params.rap_flows = static_cast<int>(flags.get_int("rap-flows", 1));
+    params.tcp_flows = static_cast<int>(flags.get_int("tcp-flows", 0));
+    params.with_cbr = flags.get_bool("cbr", false);
+    // A CBR run defaults to 90 s so the 30-60 s burst and the recovery
+    // after it both show.
+    params.duration_sec =
+        flags.get_double("duration-s", params.with_cbr ? 90 : 20);
+    params.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
+    params.bottleneck =
+        Rate::kilobits_per_sec(flags.get_double("bottleneck-kbps", 240.0));
+    params.rtt = TimeDelta::millis(flags.get_int("rtt-ms", 40));
+    params.bottleneck_queue_bytes = flags.get_int("queue-bytes", 50'000);
+    params.red_bottleneck = flags.get_bool("red", false);
+    params.layer_rate =
+        Rate::bytes_per_sec(flags.get_double("layer-rate", 10'000.0));
+    params.stream_layers = static_cast<int>(flags.get_int("layers", 8));
+    params.packet_size = static_cast<int32_t>(flags.get_int("packet", 250));
+    params.kmax = static_cast<int>(flags.get_int("kmax", 1));
+    if (const auto alloc = flags.get("allocation")) {
+      const auto parsed = core::parse_policy(*alloc);
+      if (!parsed) {
+        std::fprintf(stderr, "qa_trace: unknown allocation policy '%s'\n",
+                     alloc->c_str());
+        usage();
+        return 1;
+      }
+      params.allocation = *parsed;
+    }
+    if (flags.has("backend")) {
+      params.backend = cc::parse_backend(flags.get_or("backend", "rap"));
+    }
+
+    const std::string csv_path = flags.get_or("csv", "");
+    const ObservabilityConfig ocfg = observability_flags(flags, out_dir);
+
+    const auto unused = flags.unused();
+    if (!unused.empty()) {
+      for (const auto& u : unused) {
+        std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
+      }
       usage();
       return 1;
     }
-    params.allocation = *parsed;
-  }
-  if (flags.has("backend")) {
-    try {
-      params.backend = cc::parse_backend(flags.get_or("backend", "rap"));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "qa_trace: %s\n", e.what());
+    if (out_dir.empty()) {
+      std::fprintf(stderr, "qa_trace: --out-dir is required\n");
+      usage();
       return 1;
     }
-  }
 
-  const std::string csv_path = flags.get_or("csv", "");
-  const ObservabilityConfig ocfg = observability_flags(flags, out_dir);
-
-  const auto unused = flags.unused();
-  if (!unused.empty()) {
-    for (const auto& u : unused) {
-      std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-    }
-    usage();
-    return 1;
-  }
-  if (out_dir.empty()) {
-    std::fprintf(stderr, "qa_trace: --out-dir is required\n");
-    usage();
-    return 1;
-  }
-
-  try {
     std::filesystem::create_directories(out_dir);
 
     Observability obs(ocfg);

@@ -1,7 +1,8 @@
 # qa_trace smoke driven by ctest (see tools/CMakeLists.txt): an
 # outcome-only run (no Chrome trace) with a CBR burst, a RED bottleneck and
 # the equal-share allocation must exit 0 and write the time-series CSV.
-# The duration is left to its CBR default (90 s).
+# The duration is left to its CBR default (90 s). A malformed numeric flag
+# must be a named usage error (exit 1), not a silent default or an abort.
 # Inputs: QA_TRACE (executable), WORK_DIR.
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -27,3 +28,18 @@ if(NOT header MATCHES "^t_sec,rate,consumption,layers,total_buffer,rebuffering,b
   message(FATAL_ERROR "unexpected CSV (${n} lines, header '${header}')")
 endif()
 message(STATUS "qa_trace --csv wrote ${n} lines:\n${out}")
+
+execute_process(
+  COMMAND ${QA_TRACE} --out-dir ${WORK_DIR}/bad --no-trace --duration-s 5
+          --seed abc
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "--seed")
+  message(FATAL_ERROR
+          "qa_trace --seed abc: want exit 1 naming --seed, got ${rc}:\n"
+          "${out}${err}")
+endif()
+if(EXISTS "${WORK_DIR}/bad/manifest.json")
+  message(FATAL_ERROR "qa_trace --seed abc still ran and wrote a manifest")
+endif()
